@@ -14,6 +14,8 @@ instants, never taken from the table.
 from __future__ import annotations
 
 import json
+import math
+from bisect import insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence, Union
@@ -31,6 +33,14 @@ DEFAULT_GATE_RADIUS = 1.0
 
 #: Largest |t_sample - t_rep| allowed when reading a pose at a table timestamp.
 LOOKUP_MAX_GAP = 0.2
+
+#: Absolute slack (m) on both median bounds of ``detect_dwells``: far above
+#: the float error of distances between track positions, far below any radius.
+_BOUND_TOL = 1e-6
+#: Relative slack by which ``detect_dwells`` shortens the ``min_dwell`` horizon.
+_HORIZON_SLACK = 1e-12
+#: Samples converted to Python floats when a window starts growing.
+_FIRST_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -69,24 +79,63 @@ class VisitTable:
 def detect_dwells(track: BaseCenterTrack,
                   stationary_radius: float = DEFAULT_STATIONARY_RADIUS,
                   min_dwell: float = DEFAULT_MIN_DWELL) -> list[DwellSegment]:
-    """Greedy maximal-window scan; O(n * w^2) with w the dwell sample count."""
+    """Greedy maximal-window scan for dwells.
+
+    From a start ``i``, the window ``p[i..j]`` grows one sample at a time
+    while every sample lies within ``stationary_radius`` (r) of
+    ``np.median(p[i..j], axis=0)``; the first failing ``j`` ends it at
+    ``last = j - 1``. If ``t[last] - t[i] >= min_dwell`` the window is a dwell,
+    represented by the median of ``p[i..last]``, and the scan resumes at
+    ``last + 1``; otherwise it resumes at ``i + 1``.
+
+    Two bounds skip most medians without changing any segment:
+
+    * Horizon prefilter. A start yields a dwell only if its window up to the
+      ``min_dwell`` horizon passes. The componentwise median lies inside the
+      window's bounding box, so a box wider than ``2r + tol`` on any axis
+      fails the window, and the start is skipped without growing it.
+    * Lazy median bound. While a window grows, ``ref`` is a reference point
+      and ``far`` the window's largest distance to it. With ``shift`` the
+      distance from the running median to ``ref``, the largest distance to
+      the median lies in ``[far - shift, far + shift]``: the step passes if
+      ``far + shift <= r - tol`` and fails if ``far - shift > r + tol``.
+      Only otherwise is the exact median check run, and it resets ``ref``
+      to that median.
+
+    The result stays exact because the horizon is found from
+    ``t + min_dwell`` shortened by a relative slack, so it is never longer
+    than the exact one, and because ``tol`` (``_BOUND_TOL``, absolute) is far
+    above the float error of distances between track positions.
+
+    Cost: the prefilter is O(n). The bounds decide a step when the window's
+    spread about its median sits well inside or well outside ``r``; a step
+    they leave undecided costs one exact median, O(w log w) for a window of
+    ``w`` samples. So a stay whose spread stays near ``r`` falls back to the
+    old O(w^2 log w) per dwell, and the sorted-list insertion is O(w) per
+    sample, which makes very long static stays quadratic in memory moves.
+
+    Raises ``ValueError`` unless ``t`` is strictly increasing and ``t`` and
+    ``p`` are finite; a track of fewer than two samples has no dwells.
+    """
     if stationary_radius <= 0 or min_dwell <= 0:
         raise ValueError("stationary_radius and min_dwell must be positive")
     t = track.t
     p = track.p
-    n = len(t)
+    if len(t) < 2:
+        return []
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("track timestamps must be strictly increasing")
+    if not (np.isfinite(t).all() and np.isfinite(p).all()):
+        raise ValueError("track times and positions must be finite")
+    starts = _horizon_starts(t, p, stationary_radius, min_dwell)
     segments: list[DwellSegment] = []
     i = 0
-    while i < n - 1:
-        j = i + 1
-        # Grow while every sample stays within radius of the window median.
-        while j < n:
-            window = p[i:j + 1]
-            med = np.median(window, axis=0)
-            if np.max(np.linalg.norm(window - med, axis=1)) > stationary_radius:
-                break
-            j += 1
-        last = j - 1
+    while True:
+        k = int(np.searchsorted(starts, i))
+        if k == len(starts):
+            return segments
+        i = int(starts[k])
+        last = _grow_window(p, i, stationary_radius)
         if last > i and t[last] - t[i] >= min_dwell:
             med = np.median(p[i:last + 1], axis=0)
             segments.append(DwellSegment(float(t[i]), float(t[last]),
@@ -94,7 +143,89 @@ def detect_dwells(track: BaseCenterTrack,
             i = last + 1
         else:
             i += 1
-    return segments
+
+
+def _horizon_starts(t: np.ndarray, p: np.ndarray, radius: float,
+                    min_dwell: float) -> np.ndarray:
+    """Sorted start indices whose ``min_dwell`` horizon may hold a dwell.
+
+    A start is dropped when no sample lies ``min_dwell`` after it, or when
+    the first ``w`` samples of its horizon span more than ``2r + tol`` on an
+    axis, where ``w`` is the smallest horizon length in samples.
+    """
+    n = len(t)
+    reach = t + min_dwell - _HORIZON_SLACK * (np.abs(t) + min_dwell)
+    horizon = np.searchsorted(t, reach)
+    keep = horizon < n
+    if not keep.any():
+        return np.empty(0, dtype=np.intp)
+    length = horizon - np.arange(n) + 1
+    w = int(length[keep].min())
+    if w > 1:
+        wide = np.zeros(n, dtype=bool)
+        for axis in range(3):
+            wide[:n - w + 1] |= _sliding_extent(p[:, axis], w) > 2.0 * radius + _BOUND_TOL
+        keep &= ~wide
+    return np.flatnonzero(keep)
+
+
+def _sliding_extent(x: np.ndarray, w: int) -> np.ndarray:
+    """``max - min`` of ``x[k:k + w]`` for every ``k``, in O(len(x)).
+
+    van Herk/Gil-Werman: within blocks of ``w``, a window is the suffix of
+    one block joined to the prefix of the next.
+    """
+    n = len(x)
+    blocks = -(-n // w)
+    padded = np.concatenate([x, np.full(blocks * w - n, x[-1])]).reshape(blocks, w)
+    k = n - w + 1
+    out = []
+    for ufunc in (np.maximum, np.minimum):
+        prefix = ufunc.accumulate(padded, axis=1).ravel()
+        suffix = ufunc.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
+        out.append(ufunc(suffix[:k], prefix[w - 1:w - 1 + k]))
+    return out[0] - out[1]
+
+
+def _grow_window(p: np.ndarray, i: int, radius: float) -> int:
+    """Last index of the window grown from ``i`` before the median check fails."""
+    n = len(p)
+    rows = p[i:i + _FIRST_CHUNK].tolist()
+    xs, ys, zs = ([c] for c in rows[0])
+    ref = rows[0]
+    far = 0.0
+    lo = radius - _BOUND_TOL
+    hi = radius + _BOUND_TOL
+    j = i + 1
+    while j < n:
+        if j - i == len(rows):
+            # Convert doubling chunks: converting far ahead of the window
+            # costs more than it saves on the many short-lived starts.
+            rows += p[i + len(rows):i + 2 * len(rows)].tolist()
+        row = rows[j - i]
+        insort(xs, row[0])
+        insort(ys, row[1])
+        insort(zs, row[2])
+        far = max(far, math.dist(row, ref))
+        h = len(xs) // 2
+        if len(xs) % 2:
+            med = (xs[h], ys[h], zs[h])
+        else:
+            med = (0.5 * (xs[h - 1] + xs[h]), 0.5 * (ys[h - 1] + ys[h]),
+                   0.5 * (zs[h - 1] + zs[h]))
+        shift = math.dist(med, ref)
+        if far - shift > hi:
+            break
+        if far + shift > lo:
+            window = p[i:j + 1]
+            exact = np.median(window, axis=0)
+            dist = np.max(np.linalg.norm(window - exact, axis=1))
+            if dist > radius:
+                break
+            ref = exact.tolist()
+            far = float(dist)
+        j += 1
+    return j - 1
 
 
 def match_visits(dwells: Sequence[DwellSegment], cps: Sequence[Checkpoint],

@@ -15,12 +15,17 @@ package under test:
   every quadrature node.  Accuracy is limited only by mpmath precision.
 * Rigid alignment residuals: plain numpy SVD (the package uses its own
   Jacobi kernel).
+* Dwell detection: the original greedy scan that recomputes ``np.median``
+  for every grown window, with no bounds or prefilter; the package's
+  ``detect_dwells`` must return exactly the same segments.
 
 Run as a script to print the frozen fixture values.
 """
 
 import mpmath as mp
 import numpy as np
+
+from geotraj.matching import DwellSegment
 
 mp.mp.dps = 50
 
@@ -117,6 +122,35 @@ def umeyama_numpy(est, ref):
     trans = mu_r - rot @ mu_e
     res = est @ rot.T + trans - ref
     return rot, trans, float(np.sqrt((res ** 2).sum(axis=1).mean()))
+
+
+def detect_dwells_reference(track, stationary_radius=0.05, min_dwell=5.0):
+    """Greedy maximal-window scan; O(n * w^2) with w the dwell sample count."""
+    if stationary_radius <= 0 or min_dwell <= 0:
+        raise ValueError("stationary_radius and min_dwell must be positive")
+    t = track.t
+    p = track.p
+    n = len(t)
+    segments: list[DwellSegment] = []
+    i = 0
+    while i < n - 1:
+        j = i + 1
+        # Grow while every sample stays within radius of the window median.
+        while j < n:
+            window = p[i:j + 1]
+            med = np.median(window, axis=0)
+            if np.max(np.linalg.norm(window - med, axis=1)) > stationary_radius:
+                break
+            j += 1
+        last = j - 1
+        if last > i and t[last] - t[i] >= min_dwell:
+            med = np.median(p[i:last + 1], axis=0)
+            segments.append(DwellSegment(float(t[i]), float(t[last]),
+                                         (float(med[0]), float(med[1]), float(med[2]))))
+            i = last + 1
+        else:
+            i += 1
+    return segments
 
 
 if __name__ == "__main__":

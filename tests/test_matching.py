@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geotraj.errors import (
     LookupGapExceeded,
@@ -9,8 +10,9 @@ from geotraj.errors import (
     SchemaMismatch,
     UnknownCheckpoint,
 )
-from geotraj.geodesy import EnuCoord, EnuOrigin, GeoContext, GeodeticCoord, UtmCoord
-from geotraj.lever_arm import BaseCenterTrack
+from geotraj.geodesy import (EnuCoord, EnuOrigin, GeoContext, GeodeticCoord, UtmCoord,
+                             utm_to_geodetic)
+from geotraj.lever_arm import BaseCenterTrack, apply_lever_arm
 from geotraj.matching import (
     CheckpointVisit,
     DwellSegment,
@@ -22,7 +24,9 @@ from geotraj.matching import (
     pose_at,
     visits_from_table,
 )
+from geotraj.synth import ScenarioSpec, generate
 from geotraj.trajectory_io import Checkpoint
+from oracles import detect_dwells_reference
 
 
 def _ctx() -> GeoContext:
@@ -99,6 +103,119 @@ def test_detect_dwells_rejects_bad_params():
         detect_dwells(track, stationary_radius=0.0)
     with pytest.raises(ValueError):
         detect_dwells(track, min_dwell=-1.0)
+
+
+def test_detect_dwells_short_tracks_have_no_dwells():
+    assert detect_dwells(_track(np.empty(0), np.empty((0, 3)))) == []
+    assert detect_dwells(_track([0.0], [[1.0, 2.0, 3.0]])) == []
+
+
+@pytest.mark.parametrize("ts", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                                [0.0, np.nan, 2.0, 3.0]])
+def test_detect_dwells_requires_strictly_increasing_time(ts):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        detect_dwells(_track(ts, [[0.0, 0.0, 0.0]] * 4), min_dwell=1.0)
+
+
+@pytest.mark.parametrize("ts, ps", [
+    ([0.0, 1.0, 2.0, np.inf], [[0.0, 0.0, 0.0]] * 4),
+    ([0.0, 1.0, 2.0, 3.0], [[0.0, 0.0, 0.0]] * 3 + [[0.0, np.nan, 0.0]]),
+])
+def test_detect_dwells_requires_finite_tracks(ts, ps):
+    with pytest.raises(ValueError, match="finite"):
+        detect_dwells(_track(ts, ps), min_dwell=1.0)
+
+
+def _survey_track(rng, radius, n_parts, grid):
+    """Stays and moves: each stay's spread sits at r/2, r or 2r, as jitter or
+    a random walk; with ``grid`` every position snaps to multiples of r/2, so
+    samples repeat exactly and distances land exactly on r."""
+    parts = []
+    pos = rng.uniform(-1.0, 1.0, size=3)
+    for _ in range(n_parts):
+        length = int(rng.integers(1, 40))
+        if rng.random() < 0.3:
+            step = rng.normal(0.0, radius * rng.choice([0.3, 1.0, 3.0]), size=3)
+            parts.append(pos + np.outer(np.arange(1, length + 1), step))
+        else:
+            spread = radius * rng.choice([0.5, 1.0, 2.0])
+            if rng.random() < 0.5:
+                parts.append(pos + rng.uniform(-spread, spread, size=(length, 3)))
+            else:
+                walk = np.cumsum(rng.normal(0.0, 1.0, size=(length, 3)), axis=0)
+                parts.append(pos + spread * walk / np.sqrt(length))
+        pos = parts[-1][-1]
+    p = np.vstack(parts)
+    if grid:
+        p = np.round(p / (0.5 * radius)) * (0.5 * radius)
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_parts=st.integers(1, 12),
+       radius=st.sampled_from([0.05, 0.1, 0.25]), grid=st.booleans(),
+       clock=st.sampled_from(["tenths", "scaled", "jittered"]),
+       min_dwell=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0, 1.2, 2.0]))
+def test_detect_dwells_matches_reference(seed, n_parts, radius, grid, clock,
+                                         min_dwell):
+    """Differential check against the original one-median-per-window scan."""
+    rng = np.random.default_rng(seed)
+    p = _survey_track(rng, radius, n_parts, grid)
+    n = len(p)
+    if clock == "tenths":
+        # 0.1 s grids: t[last] - t[i] lands on min_dwell exactly, or one ulp
+        # either side of it.
+        t = np.arange(n) * 0.1
+    elif clock == "scaled":
+        # Unix-epoch times, where one ulp is 0.24 us.
+        t = 1.7e9 + np.arange(n) / 10.0
+    else:
+        t = np.cumsum(rng.uniform(0.02, 0.2, size=n))
+    track = _track(t, p)
+    assert (detect_dwells(track, radius, min_dwell)
+            == detect_dwells_reference(track, radius, min_dwell))
+
+
+def test_dwell_whose_box_is_exactly_2r_wide_is_kept():
+    # The median 0 sits exactly r from both extremes, so every window passes.
+    ps = [[-0.25, 0.0, 0.0], [0.25, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 8 + [[9.0, 0.0, 0.0]]
+    track = _track(np.arange(11.0), ps)
+    segs = detect_dwells(track, stationary_radius=0.25, min_dwell=5.0)
+    assert [(s.t_start, s.t_end) for s in segs] == [(0.0, 9.0)]
+    assert segs == detect_dwells_reference(track, 0.25, 5.0)
+
+
+def test_dwell_across_a_time_gap():
+    """A stay that starts 0.5 s before a 100 s gap in a 10 Hz track: its
+    horizon holds fewer samples than anyone else's, and the samples after it
+    are already moving."""
+    walk = np.arange(3000) * 0.1
+    t = np.concatenate([walk, 300.0 + np.arange(5) * 0.1,
+                        400.0 + np.arange(60) * 0.1])
+    p = np.zeros((len(t), 3))
+    p[:3000, 0] = -450.0 + 1.5 * walk
+    p[3007:, 1] = 0.15 * np.arange(1, 59)
+    track = _track(t, p)
+    segs = detect_dwells(track, 0.05, 2.0)
+    assert [(s.t_start, s.t_end) for s in segs] == [(300.0, 400.1)]
+    assert segs == detect_dwells_reference(track, 0.05, 2.0)
+
+
+def test_detect_dwells_matches_reference_on_drift_fragments():
+    """100 Hz survey with a dwell inside an outage: drift splits the stay."""
+    e0, n0, h0 = 513000.0, 5403000.0, 300.0
+    waypoints = np.array([[e0, n0, h0], [e0 + 6.0, n0, h0],
+                          [e0 + 6.0, n0 + 6.0, h0]])
+    spec = ScenarioSpec(
+        seed=3, waypoints=waypoints,
+        dwells=[("CP1", 3.0), ("CP2", 12.0), ("CP3", 3.0)],
+        speed=1.5, origin=utm_to_geodetic(UtmCoord(e0, n0, h0, 32)), zone=32,
+        outage_windows=[(5.0, 20.0)], drift_rate=0.05, noise_sigma=0.005,
+        sample_rate_hz=100.0)
+    track = apply_lever_arm(generate(spec).estimate, np.zeros(3))
+    got = detect_dwells(track, 0.05, 1.0)
+    assert got == detect_dwells_reference(track, 0.05, 1.0)
+    assert len(got) > 3
 
 
 def _cp_at_enu(ctx, cp_id, e, n, u) -> Checkpoint:
