@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AllZeroAbscissa, InsufficientSamples, NoFixAvailable
 from .lever_arm import BaseCenterTrack
 from .matching import CheckpointVisit
-from .trajectory_io import GnssStatus, RtkLog
+from .trajectory_io import GnssStatus, RtkLog, _write_text
 
 DEFAULT_EPS0 = 0.02
 
@@ -64,11 +64,6 @@ def _cumulative_path(track: BaseCenterTrack) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _path_length_at(track: BaseCenterTrack, cum: np.ndarray, t: float) -> float:
-    """Arc length s(t), linearly interpolated, clamped to the track range."""
-    return float(np.interp(t, track.t, cum))
-
-
 def outage_coordinates(track: BaseCenterTrack, log: RtkLog,
                        visits: Sequence[CheckpointVisit],
                        min_status: GnssStatus = GnssStatus.RTK_FIX
@@ -82,7 +77,8 @@ def outage_coordinates(track: BaseCenterTrack, log: RtkLog,
     out: list[OutageCoordinate] = []
     for visit in visits:
         dt = float(np.min(np.abs(fix_times - visit.t_rep)))
-        s_visit = _path_length_at(track, cum, visit.t_rep)
+        # Arc length at the visit, interpolated and clamped to the track.
+        s_visit = float(np.interp(visit.t_rep, track.t, cum))
         dx = float(np.min(np.abs(fix_s - s_visit)))
         out.append(OutageCoordinate(visit.checkpoint_id, dt, dx))
     return out
@@ -131,9 +127,3 @@ def drift_report(samples: Sequence[DriftSample], fits: dict[str, DriftFit],
     series_arrays = {m: (np.array(xs), np.array(ys)) for m, (xs, ys) in series.items()}
     _write_text(out_svg, drift_scatter(series_arrays, fits, axis))
 
-
-def _write_text(sink: Union[str, Path, IO], text: str) -> None:
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)

@@ -23,7 +23,6 @@ import csv
 import hashlib
 import io
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -32,10 +31,10 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .drift import (DEFAULT_EPS0, DriftFit, DriftSample, fit_drift,
-                    outage_coordinates, write_drift_csv)
+from .drift import (DriftFit, DriftSample, fit_drift, outage_coordinates,
+                    write_drift_csv)
 from .errors import InsufficientSamples, LookupGapExceeded, AllZeroAbscissa
-from .geodesy import EnuCoord, GeoContext, EnuOrigin
+from .geodesy import GeoContext
 from .lever_arm import BaseCenterTrack, apply_lever_arm
 from .matching import (VisitTable, detect_dwells, export_visit_table,
                        import_visit_table, match_visits, visits_from_table)
@@ -43,8 +42,6 @@ from .metrics import AccuracySummary, CheckpointError, summarize
 from .svg import bar_chart, drift_scatter, trajectory_overlay
 from .trajectory_io import (GnssStatus, first_rtk_fix, parse_checkpoints,
                             parse_rtk_log, parse_trajectory)
-
-log = logging.getLogger(__name__)
 
 RTK_METHOD_LABEL = "rtk-standalone"
 

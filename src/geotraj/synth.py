@@ -35,10 +35,9 @@ from .errors import InvalidSpec
 from .geodesy import (EnuCoord, EnuOrigin, GeoContext, GeodeticCoord, UtmCoord,
                       enu_to_geodetic, geodetic_to_utm, utm_to_geodetic)
 from .lever_arm import BaseCenterTrack
-from .matching import CheckpointVisit
 from .metrics import AccuracySummary
-from .trajectory_io import (Checkpoint, DeviceCalibration, FrameTag, GnssStatus,
-                            RtkLog, RtkRecord, Trajectory)
+from .trajectory_io import (Checkpoint, DeviceCalibration, GnssStatus, RtkLog,
+                            RtkRecord, Trajectory)
 
 PRNG_ALGORITHM = "pcg64"
 
@@ -274,8 +273,12 @@ def _sample_positions(segments, total: float, dt: float) -> tuple[np.ndarray, np
     return t, p
 
 
-def _in_outage(t: float, windows: Sequence[tuple[float, float]]) -> bool:
-    return any(a <= t < b for a, b in windows)
+def _outage_mask(t: np.ndarray, windows: Sequence[tuple[float, float]]) -> np.ndarray:
+    """True where ``a <= t < b`` for some outage window (a, b)."""
+    inside = np.zeros(len(t), dtype=bool)
+    for a, b in windows:
+        inside |= (a <= t) & (t < b)
+    return inside
 
 
 def _random_walk(t: np.ndarray, spec: ScenarioSpec, rng: np.random.Generator
@@ -287,26 +290,23 @@ def _random_walk(t: np.ndarray, spec: ScenarioSpec, rng: np.random.Generator
     # Draw every increment regardless of outage state so the stream layout
     # is independent of the window configuration.
     inc = rng.normal(0.0, 1.0, size=(n - 1, 3)) * step_sigma
-    inside = np.array([_in_outage(float(ti), spec.outage_windows) for ti in t[1:]])
+    inside = _outage_mask(t[1:], spec.outage_windows)
     decay = math.exp(-dt / spec.reset_tau_s)
 
     rw = np.zeros((n, 3))
     var = np.zeros(n)
-    k = 0
-    while k < n - 1:
-        run_end = k
-        state = inside[k]
-        while run_end < n - 1 and inside[run_end] == state:
-            run_end += 1
+    # Runs of equal outage state over the increments: [k, run_end).
+    change = np.flatnonzero(inside[1:] != inside[:-1]) + 1
+    bounds = [0, *change.tolist(), n - 1] if n > 1 else []
+    for k, run_end in zip(bounds[:-1], bounds[1:]):
         span = run_end - k
-        if state:
+        if inside[k]:
             rw[k + 1:run_end + 1] = rw[k] + np.cumsum(inc[k:run_end], axis=0)
             var[k + 1:run_end + 1] = var[k] + step_sigma ** 2 * np.arange(1, span + 1)
         else:
             factors = decay ** np.arange(1, span + 1)
             rw[k + 1:run_end + 1] = rw[k] * factors[:, None]
             var[k + 1:run_end + 1] = var[k] * factors ** 2
-        k = run_end
     return rw, var
 
 
@@ -341,13 +341,13 @@ def generate(spec: ScenarioSpec) -> Scenario:
         return enu_to_geodetic(EnuCoord(e.e + d_antenna[0], e.n + d_antenna[1],
                                         e.u + d_antenna[2]), provisional.origin)
 
-    records: list[RtkRecord] = []
     n_sec = int(math.floor(total / (1.0 / RTK_RATE_HZ) + 1e-9)) + 1
-    for i in range(n_sec):
-        ts = i / RTK_RATE_HZ
-        status = GnssStatus.NONE if _in_outage(ts, spec.outage_windows) else GnssStatus.RTK_FIX
-        base_pt = _position_at(segments, ts)
-        records.append(RtkRecord(ts, antenna_geodetic(base_pt), status))
+    ts = np.arange(n_sec) / RTK_RATE_HZ
+    outage = _outage_mask(ts, spec.outage_windows)
+    records = [RtkRecord(t_i, antenna_geodetic(base_pt),
+                         GnssStatus.NONE if out else GnssStatus.RTK_FIX)
+               for t_i, base_pt, out in zip(ts.tolist(), _positions_at(segments, ts),
+                                            outage.tolist())]
     rtk = RtkLog(records)
 
     first = records[0].g
@@ -360,10 +360,8 @@ def generate(spec: ScenarioSpec) -> Scenario:
     # TUM files hold IMU-frame positions; with identity orientation the IMU
     # sits at base minus the base lever arm.
     imu_shift = -calib.t_imu_to_base
-    truth_traj = Trajectory.from_arrays(t, truth_enu + imu_shift, identity_q,
-                                        FrameTag.ENU_LOCAL)
-    estimate_traj = Trajectory.from_arrays(t, estimate_enu + imu_shift, identity_q,
-                                           FrameTag.ENU_LOCAL)
+    truth_traj = Trajectory.from_arrays(t, truth_enu + imu_shift, identity_q)
+    estimate_traj = Trajectory.from_arrays(t, estimate_enu + imu_shift, identity_q)
 
     checkpoints: list[Checkpoint] = []
     seen: set[str] = set()
@@ -380,14 +378,20 @@ def generate(spec: ScenarioSpec) -> Scenario:
     return scenario
 
 
-def _position_at(segments, ts: float) -> np.ndarray:
-    for t0, t1, p0, p1 in segments:
-        if t0 <= ts <= t1:
-            if t1 == t0:
-                return p0
-            w = (ts - t0) / (t1 - t0)
-            return p0 + w * (p1 - p0)
-    return segments[-1][3]
+def _positions_at(segments, ts: np.ndarray) -> np.ndarray:
+    """Positions on the plan at sorted times ``ts``: the first segment with
+    ``t0 <= ts <= t1`` wins, and times past the plan take its last point."""
+    t0, t1, p0, p1 = (np.array(col) for col in zip(*segments))
+    # Segment ends never decrease, so the first end >= ts is the only
+    # candidate for the first match.
+    k = np.minimum(np.searchsorted(t1, ts, side="left"), len(segments) - 1)
+    hit = (t0[k] <= ts) & (ts <= t1[k])
+    out = np.where(hit[:, None], p0[k], p1[-1])
+    moving = hit & (t1[k] != t0[k])
+    km = k[moving]
+    w = (ts[moving] - t0[km]) / (t1[km] - t0[km])
+    out[moving] = p0[km] + w[:, None] * (p1[km] - p0[km])
+    return out
 
 
 def _umeyama_numpy(est: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:

@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,11 +38,14 @@ from .geodesy import EnuOrigin, GeodeticCoord, UtmCoord
 Source = Union[str, Path, bytes, IO]
 
 QUAT_NORM_TOLERANCE = 1e-3
+# Quaternions closer to unit norm than this are left untouched, so parsing a
+# file we wrote reproduces it bit for bit.
+QUAT_UNIT_EPS = 1e-12
 
-
-class FrameTag(enum.Enum):
-    ENU_LOCAL = "enu_local"
-    UTM = "utm"
+# Data bytes the fast parser takes: decimal floats, on which np.loadtxt and
+# float() agree exactly, and the separators both split on the same way.
+_NUMBER_BYTES = b"0123456789.+-eE \t\n"
+_NON_BLANK = re.compile(rb"[^ \t\n]")
 
 
 class GnssStatus(enum.IntEnum):
@@ -69,52 +73,39 @@ _STATUS_TO_TOKEN = {v: k for k, v in _TOKEN_TO_STATUS.items()}
 
 
 @dataclass(eq=False)
-class Pose:
-    """Timestamped position plus body-to-world rotation.
+class Trajectory:
+    """Timestamped poses as arrays.
 
-    ``q`` is a Hamilton unit quaternion stored as (x, y, z, w), the TUM
-    component order.
+    ``t`` is (N,), ``p`` (N, 3) and ``q`` (N, 4): Hamilton unit quaternions,
+    body to world, stored as (x, y, z, w), the TUM component order.
     """
 
-    t: float
+    t: np.ndarray
     p: np.ndarray
     q: np.ndarray
 
-    def rotation_matrix(self) -> np.ndarray:
-        x, y, z, w = self.q
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
-
-
-@dataclass(eq=False)
-class Trajectory:
-    poses: list[Pose]
-    frame_tag: FrameTag = FrameTag.ENU_LOCAL
-
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.t)
 
     @property
     def timestamps(self) -> np.ndarray:
-        return np.array([pose.t for pose in self.poses])
+        return self.t
 
     @property
     def positions(self) -> np.ndarray:
-        return np.array([pose.p for pose in self.poses])
+        return self.p
 
     @property
     def quaternions(self) -> np.ndarray:
-        return np.array([pose.q for pose in self.poses])
+        return self.q
 
     @classmethod
-    def from_arrays(cls, t: np.ndarray, p: np.ndarray, q: np.ndarray,
-                    frame_tag: FrameTag = FrameTag.ENU_LOCAL) -> "Trajectory":
-        poses = [Pose(float(ti), np.asarray(pi, dtype=float), np.asarray(qi, dtype=float))
-                 for ti, pi, qi in zip(t, p, q)]
-        return cls(poses, frame_tag)
+    def from_arrays(cls, t: np.ndarray, p: np.ndarray, q: np.ndarray) -> "Trajectory":
+        t, p, q = (np.asarray(a, dtype=float) for a in (t, p, q))
+        if t.ndim != 1 or p.shape != (len(t), 3) or q.shape != (len(t), 4):
+            raise ValueError(f"expected t (N,), p (N, 3), q (N, 4); got "
+                             f"{t.shape}, {p.shape}, {q.shape}")
+        return cls(t, p, q)
 
 
 @dataclass(frozen=True)
@@ -162,17 +153,36 @@ class DeviceCalibration:
                    np.asarray(d["t_imu_to_antenna"], dtype=float))
 
 
-def _iter_lines(source: Source) -> Iterator[str]:
+def _read_source(source: Source) -> Union[bytes, str]:
+    """The whole source, undecoded. Paths get universal newlines, as in text
+    mode; bytes and file objects keep their line ends."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="replace") as fh:
-            yield from fh
-    elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8", errors="replace"))
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8", errors="replace")
-        yield from io.StringIO(data)
+        return Path(source).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return source if isinstance(source, bytes) else source.read()
+
+
+def _decode(data: Union[bytes, str]) -> str:
+    return data if isinstance(data, str) else data.decode("utf-8", errors="replace")
+
+
+def _csv_rows(source: Source, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number and stripped fields of every row after the header."""
+    header_seen = False
+    for line_no, raw in enumerate(io.StringIO(_decode(_read_source(source))), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            if [f.lower() for f in fields] != header:
+                raise MalformedLine(line_no, f"expected header {','.join(header)!r}")
+            header_seen = True
+        elif len(fields) != len(header):
+            raise MalformedLine(line_no, f"expected {len(header)} fields, got {len(fields)}")
+        else:
+            yield line_no, fields
+    if not header_seen:
+        raise EmptyFile(f"{what} has no header line")
 
 
 def _parse_float(token: str, line_no: int, what: str) -> float:
@@ -185,15 +195,80 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def parse_trajectory(source: Source, frame_tag: FrameTag = FrameTag.ENU_LOCAL) -> Trajectory:
+def parse_trajectory(source: Source) -> Trajectory:
     """Parse a TUM-format trajectory.
 
     Quaternions off unit norm by at most 1e-3 are normalized; worse ones are
     rejected as malformed. Timestamps must be strictly increasing.
+
+    One vectorised pass reads well-formed files. Whatever it cannot vouch
+    for goes to the line-by-line parser, which decides the result or the
+    error and its line number.
     """
-    poses: list[Pose] = []
-    prev_t = None
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    data = _read_source(source)
+    traj = _parse_fast(data)
+    return traj if traj is not None else _parse_strict(_decode(data))
+
+
+def _parse_fast(data: Union[bytes, str]) -> Optional[Trajectory]:
+    """``np.loadtxt`` over ASCII whose only comments are whole lines before
+    the data; returns None wherever ``_parse_strict`` might disagree.
+
+    Both parsers turn a token into a float with ``PyOS_string_to_double``,
+    so on the bytes in ``_NUMBER_BYTES`` they agree bit for bit. Anything
+    else after the header (nan, inf, ``1_000``, hex floats, ``#`` after
+    data, control separators) is left to the strict parser, whatever a
+    given numpy's tokenizer would make of it.
+    """
+    if not data.isascii():
+        return None
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    # Only "\n" ends a line here; str.split() takes a CR as a blank.
+    data = data.replace(b"\r", b" ")
+    # The header runs to the end of the line of the last '#' and must hold
+    # only comments. bytes.lstrip() strips a subset of what str.strip() does,
+    # so a line it leaves unclear goes to the strict parser.
+    last_hash = data.rfind(b"#")
+    cut = (data.find(b"\n", last_hash) + 1 or len(data)) if last_hash >= 0 else 0
+    header = data[:cut]
+    if any(line.strip() and not line.lstrip().startswith(b"#")
+           for line in header.split(b"\n")):
+        return None
+    # translate() keeps the bytes outside _NUMBER_BYTES, in order: beyond
+    # the header's own there must be none, and some data must follow.
+    extra = len(data.translate(None, _NUMBER_BYTES))
+    if (extra != len(header.translate(None, _NUMBER_BYTES))
+            or _NON_BLANK.search(data, cut) is None):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(data), ndmin=2, comments=None,
+                          skiprows=header.count(b"\n"))
+    except ValueError:
+        return None
+    if rows.shape[1] != 8 or len(rows) < 2 or not np.isfinite(rows).all():
+        return None
+    t, p, q = rows[:, 0].copy(), rows[:, 1:4].copy(), rows[:, 4:].copy()
+    if not (t[1:] > t[:-1]).all():
+        return None
+    # Summation orders of four squares differ by a few ulp, far below 1e-14:
+    # rows not clearly within QUAT_UNIT_EPS get the strict parser's tests.
+    off = np.abs(np.sqrt(np.einsum("ij,ij->i", q, q)) - 1.0)
+    for i in np.flatnonzero(off > QUAT_UNIT_EPS - 1e-14):
+        norm = float(np.linalg.norm(q[i]))
+        if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
+            return None
+        if abs(norm - 1.0) > QUAT_UNIT_EPS:
+            q[i] = q[i] / norm
+    return Trajectory(t, p, q)
+
+
+def _parse_strict(text: str) -> Trajectory:
+    """Line-by-line TUM parser: the reference for every result and error."""
+    ts: list[float] = []
+    ps: list[list[float]] = []
+    qs: list[np.ndarray] = []
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -202,32 +277,31 @@ def parse_trajectory(source: Source, frame_tag: FrameTag = FrameTag.ENU_LOCAL) -
             raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
         values = [_parse_float(tok, line_no, f"field {i+1}")
                   for i, tok in enumerate(fields)]
-        t = values[0]
-        p = np.array(values[1:4])
         q = np.array(values[4:8])
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
             raise MalformedLine(line_no, f"quaternion norm {norm:.6f} off unit by more "
                                          f"than {QUAT_NORM_TOLERANCE}")
-        if prev_t is not None and t <= prev_t:
+        if ts and values[0] <= ts[-1]:
             raise NonMonotonicTimestamp(line_no)
-        prev_t = t
-        # Leave already-normalized quaternions untouched so that parsing a
-        # file we wrote reproduces it bit for bit.
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > QUAT_UNIT_EPS:
             q = q / norm
-        poses.append(Pose(t, p, q))
-    if len(poses) < 2:
-        raise EmptyFile(f"trajectory needs at least 2 poses, found {len(poses)}")
-    return Trajectory(poses, frame_tag)
+        ts.append(values[0])
+        ps.append(values[1:4])
+        qs.append(q)
+    if len(ts) < 2:
+        raise EmptyFile(f"trajectory needs at least 2 poses, found {len(ts)}")
+    return Trajectory(np.array(ts), np.array(ps), np.array(qs))
+
+
+_TUM_ROW = " ".join(["%r"] * 8) + "\n"
 
 
 def write_trajectory(traj: Trajectory, sink: Union[str, Path, IO]) -> None:
-    lines = ["# t tx ty tz qx qy qz qw"]
-    for pose in traj.poses:
-        fields = [pose.t, *pose.p, *pose.q]
-        lines.append(" ".join(repr(float(v)) for v in fields))
-    _write_text(sink, "\n".join(lines) + "\n")
+    """One line per pose, every float written with ``repr``."""
+    rows = np.hstack([traj.t[:, None], traj.p, traj.q], dtype=float)
+    body = (_TUM_ROW * len(rows)) % tuple(rows.ravel().tolist())
+    _write_text(sink, "# t tx ty tz qx qy qz qw\n" + body)
 
 
 def parse_checkpoints(source: Source, zone: int, hemisphere: str = "north") -> list[Checkpoint]:
@@ -235,66 +309,37 @@ def parse_checkpoints(source: Source, zone: int, hemisphere: str = "north") -> l
     config, not the file."""
     checkpoints: list[Checkpoint] = []
     seen: set[str] = set()
-    header_seen = False
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if [f.lower() for f in fields] != ["id", "easting", "northing", "height"]:
-                raise MalformedLine(line_no, "expected header 'id,easting,northing,height'")
-            header_seen = True
-            continue
-        if len(fields) != 4:
-            raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
+    for line_no, fields in _csv_rows(source, ["id", "easting", "northing", "height"],
+                                     "checkpoint file"):
         cp_id = fields[0]
         if not cp_id:
             raise MalformedLine(line_no, "empty checkpoint id")
         if cp_id in seen:
             raise DuplicateId(f"checkpoint id {cp_id!r} repeated at line {line_no}")
         seen.add(cp_id)
-        easting = _parse_float(fields[1], line_no, "easting")
-        northing = _parse_float(fields[2], line_no, "northing")
-        height = _parse_float(fields[3], line_no, "height")
+        easting, northing, height = (_parse_float(tok, line_no, what) for tok, what
+                                     in zip(fields[1:], ("easting", "northing", "height")))
         try:
             coord = UtmCoord(easting, northing, height, zone, hemisphere)
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
         checkpoints.append(Checkpoint(cp_id, coord))
-    if not header_seen:
-        raise EmptyFile("checkpoint file has no header line")
     return checkpoints
 
 
 def write_checkpoints(checkpoints: Sequence[Checkpoint], sink: Union[str, Path, IO]) -> None:
-    lines = ["id,easting,northing,height"]
-    for cp in checkpoints:
-        lines.append(f"{cp.id},{cp.coord.easting!r},{cp.coord.northing!r},"
-                     f"{cp.coord.height!r}")
-    _write_text(sink, "\n".join(lines) + "\n")
+    rows = [f"{cp.id},{cp.coord.easting!r},{cp.coord.northing!r},{cp.coord.height!r}\n"
+            for cp in checkpoints]
+    _write_text(sink, "id,easting,northing,height\n" + "".join(rows))
 
 
 def parse_rtk_log(source: Source) -> RtkLog:
     records: list[RtkRecord] = []
-    header_seen = False
     prev_t = None
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if [f.lower() for f in fields] != ["t", "lat_deg", "lon_deg", "height", "status"]:
-                raise MalformedLine(line_no, "expected header 't,lat_deg,lon_deg,height,status'")
-            header_seen = True
-            continue
-        if len(fields) != 5:
-            raise MalformedLine(line_no, f"expected 5 fields, got {len(fields)}")
-        t = _parse_float(fields[0], line_no, "timestamp")
-        lat = _parse_float(fields[1], line_no, "latitude")
-        lon = _parse_float(fields[2], line_no, "longitude")
-        height = _parse_float(fields[3], line_no, "height")
+    for line_no, fields in _csv_rows(source, ["t", "lat_deg", "lon_deg", "height", "status"],
+                                     "RTK log"):
+        t, lat, lon, height = (_parse_float(tok, line_no, what) for tok, what in
+                               zip(fields, ("timestamp", "latitude", "longitude", "height")))
         token = fields[4].upper()
         if token not in _TOKEN_TO_STATUS:
             raise UnknownStatus(line_no, fields[4])
@@ -306,17 +351,13 @@ def parse_rtk_log(source: Source) -> RtkLog:
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
         records.append(RtkRecord(t, g, _TOKEN_TO_STATUS[token]))
-    if not header_seen:
-        raise EmptyFile("RTK log has no header line")
     return RtkLog(records)
 
 
 def write_rtk_log(log: RtkLog, sink: Union[str, Path, IO]) -> None:
-    lines = ["t,lat_deg,lon_deg,height,status"]
-    for rec in log.records:
-        lines.append(f"{rec.t!r},{rec.g.lat_deg!r},{rec.g.lon_deg!r},"
-                     f"{rec.g.h!r},{rec.status.token}")
-    _write_text(sink, "\n".join(lines) + "\n")
+    rows = [f"{rec.t!r},{rec.g.lat_deg!r},{rec.g.lon_deg!r},{rec.g.h!r},{rec.status.token}\n"
+            for rec in log.records]
+    _write_text(sink, "t,lat_deg,lon_deg,height,status\n" + "".join(rows))
 
 
 def first_rtk_fix(log: RtkLog) -> EnuOrigin:

@@ -18,9 +18,15 @@ package under test:
 * Dwell detection: the original greedy scan that recomputes ``np.median``
   for every grown window, with no bounds or prefilter; the package's
   ``detect_dwells`` must return exactly the same segments.
+* TUM writing: the original writer, one ``repr`` per field and pose; the
+  package's ``write_trajectory`` must produce the same text.
+* Synthetic receiver track and drift: the original per-sample loops over
+  motion segments and outage runs; ``synth`` must reproduce them bit for bit.
 
 Run as a script to print the frozen fixture values.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -151,6 +157,55 @@ def detect_dwells_reference(track, stationary_radius=0.05, min_dwell=5.0):
         else:
             i += 1
     return segments
+
+
+def write_trajectory_reference(traj):
+    """TUM text of ``traj``, every field through ``repr(float(v))``."""
+    lines = ["# t tx ty tz qx qy qz qw"]
+    for t, p, q in zip(traj.t, traj.p, traj.q):
+        lines.append(" ".join(repr(float(v)) for v in [t, *p, *q]))
+    return "\n".join(lines) + "\n"
+
+
+def position_at_reference(segments, ts):
+    """Plan position at one time: the first segment with t0 <= ts <= t1."""
+    for t0, t1, p0, p1 in segments:
+        if t0 <= ts <= t1:
+            if t1 == t0:
+                return p0
+            w = (ts - t0) / (t1 - t0)
+            return p0 + w * (p1 - p0)
+    return segments[-1][3]
+
+
+def random_walk_reference(t, drift_rate, reset_tau_s, outage_windows, rng):
+    """Random walk that grows inside outages and decays outside, one run of
+    equal outage state at a time, found sample by sample."""
+    n = len(t)
+    dt = float(t[1] - t[0]) if n > 1 else 0.0
+    step_sigma = drift_rate * math.sqrt(dt)
+    inc = rng.normal(0.0, 1.0, size=(n - 1, 3)) * step_sigma
+    inside = np.array([any(a <= float(ti) < b for a, b in outage_windows)
+                       for ti in t[1:]])
+    decay = math.exp(-dt / reset_tau_s)
+    rw = np.zeros((n, 3))
+    var = np.zeros(n)
+    k = 0
+    while k < n - 1:
+        run_end = k
+        state = inside[k]
+        while run_end < n - 1 and inside[run_end] == state:
+            run_end += 1
+        span = run_end - k
+        if state:
+            rw[k + 1:run_end + 1] = rw[k] + np.cumsum(inc[k:run_end], axis=0)
+            var[k + 1:run_end + 1] = var[k] + step_sigma ** 2 * np.arange(1, span + 1)
+        else:
+            factors = decay ** np.arange(1, span + 1)
+            rw[k + 1:run_end + 1] = rw[k] * factors[:, None]
+            var[k + 1:run_end + 1] = var[k] * factors ** 2
+        k = run_end
+    return rw, var
 
 
 if __name__ == "__main__":

@@ -78,6 +78,23 @@ def test_offsets_compose_additively(seed):
     assert np.max(np.abs(combined - split)) < 1e-12
 
 
+def _rotation_matrix(q):
+    """Body-to-world matrix of one (x, y, z, w) unit quaternion, built as
+    the sandwich product q v q* applied to each basis vector."""
+    x, y, z, w = q
+
+    def hamilton(a, b):
+        (ax, ay, az, aw), (bx, by, bz, bw) = a, b
+        return (aw * bx + ax * bw + ay * bz - az * by,
+                aw * by - ax * bz + ay * bw + az * bx,
+                aw * bz + ax * by - ay * bx + az * bw,
+                aw * bw - ax * bx - ay * by - az * bz)
+
+    cols = [hamilton(hamilton((x, y, z, w), (*e, 0.0)), (-x, -y, -z, w))[:3]
+            for e in np.eye(3)]
+    return np.array(cols).T
+
+
 def test_batch_matches_per_pose_rotation_matrix():
     rng = np.random.default_rng(11)
     q = rng.normal(size=(10, 4))
@@ -85,8 +102,11 @@ def test_batch_matches_per_pose_rotation_matrix():
     p = rng.uniform(-50, 50, size=(10, 3))
     traj = _traj(np.arange(10.0), p, q)
     track = apply_lever_arm(traj, ANTENNA_OFFSET)
-    for pose, got in zip(traj.poses, track.p):
-        want = pose.p + pose.rotation_matrix() @ ANTENNA_OFFSET
+    for pi, qi, got in zip(p, q, track.p):
+        R = _rotation_matrix(qi)
+        assert np.allclose(R.T @ R, np.eye(3), atol=1e-12)
+        assert abs(np.linalg.det(R) - 1.0) < 1e-12
+        want = pi + R @ ANTENNA_OFFSET
         assert np.max(np.abs(got - want)) < 1e-14
 
 

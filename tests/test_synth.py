@@ -7,6 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from geotraj import synth
+from oracles import position_at_reference, random_walk_reference
 
 from geotraj.errors import InvalidSpec
 from geotraj.geodesy import UtmCoord, utm_to_geodetic
@@ -154,6 +158,50 @@ def test_random_walk_variance_tracks_discrete_process():
     rw = sc.estimate_utm - sc.truth_utm
     assert np.all(rw[:first_in] == 0.0)
     assert np.any(rw[inside] != 0.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_seg=st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_positions_at_matches_per_time_loop(seed, n_seg):
+    """Contiguous dwell, walk and zero-length segments (explicit, or from a
+    1e16 s clock that swallows short steps) queried on whole seconds, at
+    segment ends and past the plan."""
+    rng = np.random.default_rng(seed)
+    segments, t = [], float(rng.choice([0.0, 1e16]))
+    p = rng.uniform(-1e3, 1e3, size=3)
+    for _ in range(n_seg):
+        kind = rng.integers(3)
+        dur = 0.0 if kind == 2 else float(rng.choice([0.5, 1.0, 2.75, 7.0]))
+        q = p if kind == 0 else rng.uniform(-1e3, 1e3, size=3)
+        segments.append((t, t + dur, p, q))
+        t, p = t + dur, q
+    start, ends = segments[0][0], [s[1] for s in segments]
+    ts = np.unique(np.concatenate([np.arange(0.0, t - start + 3.0) + start,
+                                   ends, np.nextafter(ends, np.inf)]))
+    got = synth._positions_at(segments, ts)
+    want = np.array([position_at_reference(segments, float(x)) for x in ts])
+    assert got.tobytes() == want.tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       windows=st.lists(st.tuples(st.integers(1, 100), st.integers(1, 50),
+                                  st.sampled_from([0.0, 0.05])), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_random_walk_matches_per_sample_loop(seed, n, windows):
+    """Outage windows with bounds on and between the 0.1 s samples."""
+    outages, end = [], 0
+    for gap, length, shift in windows:
+        a = end + gap
+        outages.append((a * 0.1 + shift, (a + length) * 0.1))
+        end = a + length
+    spec = ScenarioSpec(seed=seed, waypoints=np.zeros((2, 3)), dwells=[("", 0.0)] * 2,
+                        speed=1.0, origin=_origin_at(E0, N0, H0), zone=32,
+                        outage_windows=outages, drift_rate=0.01, reset_tau_s=3.0)
+    t = np.arange(n) * 0.1
+    got = synth._random_walk(t, spec, np.random.Generator(np.random.PCG64(seed)))
+    want = random_walk_reference(t, 0.01, 3.0, outages,
+                                 np.random.Generator(np.random.PCG64(seed)))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_expected_error_magnitude_uses_chi_mean():

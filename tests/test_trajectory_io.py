@@ -2,6 +2,8 @@
 
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,7 @@ from geotraj.geodesy import UtmCoord
 from geotraj.trajectory_io import (
     Checkpoint,
     DeviceCalibration,
-    FrameTag,
     GnssStatus,
-    Pose,
     RtkLog,
     RtkRecord,
     Trajectory,
@@ -35,6 +35,8 @@ from geotraj.trajectory_io import (
     write_trajectory,
 )
 from geotraj.geodesy import GeodeticCoord
+from geotraj import trajectory_io
+from oracles import write_trajectory_reference
 
 TUM_SAMPLE = b"""\
 # ts x y z qx qy qz qw
@@ -47,10 +49,9 @@ TUM_SAMPLE = b"""\
 def test_parse_tum_sample():
     traj = parse_trajectory(TUM_SAMPLE)
     assert len(traj) == 3
-    assert traj.frame_tag is FrameTag.ENU_LOCAL
-    assert traj.poses[0].t == 1403636579.76
-    assert np.array_equal(traj.poses[0].p, [4.688, -1.786, 0.783])
-    assert np.array_equal(traj.poses[2].q, [0.5, 0.5, 0.5, 0.5])
+    assert traj.t[0] == 1403636579.76
+    assert np.array_equal(traj.p[0], [4.688, -1.786, 0.783])
+    assert np.array_equal(traj.q[2], [0.5, 0.5, 0.5, 0.5])
 
 
 def test_comments_and_blank_lines_skipped():
@@ -87,7 +88,7 @@ def test_quaternion_norm_gate():
     q = 1.0005
     traj = parse_trajectory(
         f"0.0 0 0 0 0 0 0 {q}\n1.0 0 0 0 0 0 0 1\n".encode())
-    assert abs(np.linalg.norm(traj.poses[0].q) - 1.0) < 1e-15
+    assert abs(np.linalg.norm(traj.q[0]) - 1.0) < 1e-15
     # 2e-3 off unit: rejected.
     with pytest.raises(MalformedLine):
         parse_trajectory(b"0.0 0 0 0 0 0 0 1.002\n1.0 0 0 0 0 0 0 1\n")
@@ -108,14 +109,6 @@ def test_too_few_poses_is_empty():
         parse_trajectory(b"# only comments\n")
     with pytest.raises(EmptyFile):
         parse_trajectory(b"0.0 0 0 0 0 0 0 1\n")
-
-
-def test_rotation_matrix_is_orthonormal():
-    q = np.array([0.1, -0.2, 0.3, 0.9])
-    q /= np.linalg.norm(q)
-    R = Pose(0.0, np.zeros(3), q).rotation_matrix()
-    assert np.allclose(R.T @ R, np.eye(3), atol=1e-12)
-    assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
 def _random_trajectory(seed: int, n: int) -> Trajectory:
@@ -147,6 +140,202 @@ def test_trajectory_parser_never_panics(data):
         parse_trajectory(data)
     except ParseError:
         pass
+
+
+def _bits(traj):
+    return [a.tobytes() for a in (traj.t, traj.p, traj.q)]
+
+
+# Whitespace that str.split() honours: ASCII, a control separator that
+# np.loadtxt might not, and non-ASCII spaces.
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\r", "\u00a0", "\u2003"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x85", "\u2028"]
+HAZARD_TOKENS = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999", "1_000",
+                 "1__0", "0x1p3", "1e", ".", "", "+", "--1", "1.5.2", "\u0661",
+                 "1#", "#", "1e5e5", "1d0", "\x00"]
+# Relative quaternion scalings around the strict parser's thresholds: unit,
+# the 1e-12 "already unit" test, the 1e-3 tolerance.
+QUAT_SCALES = [0.0, 1e-16, -1e-16, 5e-13, 1e-12, -1e-12, 1e-12 + 2e-16,
+               -1e-12 - 2e-16, 3e-12, 5e-4, 1e-3, -1e-3, 1e-3 + 1e-15, 2e-3]
+
+
+@st.composite
+def _float_tokens(draw, value):
+    style = draw(st.sampled_from(["repr", "g", "e", "f6", "plus", "dot"]))
+    if style == "repr":
+        return repr(value)
+    if style == "g":
+        return f"{value:.17g}"
+    if style == "e":
+        return f"{value:.15E}"
+    if style == "f6":
+        return f"{value:.6f}"
+    text = repr(value)
+    if style == "plus" and not text.startswith("-"):
+        return "+" + text
+    return text.replace("0.", ".", 1) if text.startswith("0.") else text
+
+
+@st.composite
+def _tum_text(draw):
+    """TUM text mixing valid rows with every hazard the fast pass must
+    either parse exactly as the strict parser does or hand over to it."""
+    # Half the files are clean apart from layout, so that both parsers
+    # accept often; the rest carry hazards in about one row in three.
+    hazard_pct = draw(st.sampled_from([0, 0, 10, 30]))
+
+    def hazard():
+        return draw(st.integers(0, 99)) < hazard_pct
+
+    sep = st.sampled_from(SEPARATORS[:3] * 3 + SEPARATORS[3:])
+    lines = []
+    t = draw(st.sampled_from([0.0, 1.7e9, 1403636579.76]))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank"]))
+        if kind == "row" and hazard():
+            kind = "hash-after"
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + "# "
+                         + draw(st.sampled_from(["t x y z", "nan", "1 2 3 4 5 6 7 8"])))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\t \x0c"])))
+            continue
+        t += draw(st.sampled_from([0.0, -0.25] if hazard() else [0.01, 0.5, 1e-7]))
+        q = np.array(draw(st.lists(st.floats(-1, 1, allow_nan=False, width=64),
+                                   min_size=4, max_size=4)))
+        if np.linalg.norm(q) < 1e-3:
+            q = np.array([0.0, 0.0, 0.0, 1.0])
+        scales = QUAT_SCALES if hazard() else QUAT_SCALES[:-4]
+        q = q / np.linalg.norm(q) * (1.0 + draw(st.sampled_from(scales)))
+        p = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=3))
+        tokens = [draw(_float_tokens(float(v))) for v in [t, *p, *q]]
+        if hazard():
+            tokens[draw(st.integers(0, 7))] = draw(st.sampled_from(HAZARD_TOKENS))
+        if hazard():
+            tokens = tokens[:7] if draw(st.booleans()) else tokens + ["0"]
+        text = draw(sep).join(tokens)
+        if kind == "hash-after":
+            text += draw(sep) + "# trailing"
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + text)
+    end = st.sampled_from(LINE_ENDS[:2] * 12 + LINE_ENDS[2:])
+    return "".join(line + draw(end) for line in lines)
+
+
+@given(text=_tum_text())
+@settings(max_examples=600, deadline=None)
+def test_fast_parse_matches_strict_parser(text):
+    """The vectorised pass never accepts what the line parser rejects and,
+    where it accepts, returns the same arrays bit for bit."""
+    fast = trajectory_io._parse_fast(text)
+    sources = [io.StringIO(text), text.encode("utf-8")]
+    try:
+        want = trajectory_io._parse_strict(text)
+    except ParseError as exc:
+        assert fast is None
+        for source in sources:
+            with pytest.raises(type(exc)) as got:
+                parse_trajectory(source)
+            assert getattr(got.value, "line_no", None) == getattr(exc, "line_no", None)
+        return
+    for source in sources:
+        assert _bits(parse_trajectory(source)) == _bits(want)
+    if fast is not None:
+        assert _bits(fast) == _bits(want)
+
+
+@pytest.mark.parametrize("token", HAZARD_TOKENS)
+def test_each_hazard_token_in_each_field(token):
+    """One bad token in an otherwise valid file, in every field of either
+    row: the fast pass must hand every such file to the strict parser."""
+    for row in range(2):
+        for field in range(8):
+            rows = [["0.0", "1", "2", "3", "0", "0", "0", "1"],
+                    ["1.0", "4", "5", "6", "0", "0", "0", "1"]]
+            rows[row][field] = token
+            text = "".join(" ".join(r) + "\n" for r in rows)
+            try:
+                want = trajectory_io._parse_strict(text)
+            except ParseError:
+                assert trajectory_io._parse_fast(text) is None, (row, field)
+                continue
+            fast = trajectory_io._parse_fast(text)
+            assert fast is None or _bits(fast) == _bits(want), (row, field)
+
+
+def test_fast_parse_takes_the_common_layouts():
+    """Header comments, blank lines, tabs, CRLF, a 1.7e9 s clock and slightly
+    off-unit quaternions all stay on the vectorised path."""
+    q_off = "0.0 0.0 0.0 1.0000005"
+    text = ("# header\r\n\r\n1700000000.0\t1 2 3 0 0 0 1\r\n"
+            f"1700000000.01 1e-3 -2.5E+2 .5 {q_off}\r\n  \r\n")
+    fast = trajectory_io._parse_fast(text)
+    assert fast is not None
+    assert _bits(fast) == _bits(trajectory_io._parse_strict(text))
+    assert fast.q[1, 3] == 1.0
+
+
+def test_parse_reads_paths_with_universal_newlines(tmp_path):
+    """A path is read as text with universal newlines, so a lone CR ends a
+    line there, while in raw bytes it only separates fields."""
+    body = b"0.0 0 0 0\r0 0 0 1\n1.0 1 0 0\r0 0 0 1\n"
+    path = tmp_path / "cr.tum"
+    path.write_bytes(body.replace(b"\r", b" ").replace(b"\n", b"\r"))
+    assert _bits(parse_trajectory(path)) == _bits(parse_trajectory(body))
+    with pytest.raises(MalformedLine) as exc:
+        parse_trajectory(body.replace(b"\n", b"\r"))
+    assert exc.value.line_no == 1
+
+
+@given(data=st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"a", b" ", b"\xe2", b"\x82",
+                                      b"\xac", b"\xff", "\u00e9".encode()]),
+                     max_size=20).map(b"".join))
+@settings(max_examples=150, deadline=None)
+def test_path_reads_like_text_mode(data):
+    """Paths are read as bytes, yet decode exactly as a text-mode open():
+    UTF-8 with replacement and universal newlines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.tum"
+        path.write_bytes(data)
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            text = trajectory_io._decode(trajectory_io._read_source(path))
+            assert text == fh.read()
+
+
+def test_written_file_takes_the_fast_path(tmp_path, monkeypatch):
+    """A file from write_trajectory, on an epoch clock at 100 Hz, must parse
+    without the line-by-line parser, so a silent fallback cannot hide."""
+    rng = np.random.default_rng(5)
+    n = 2000
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    traj = Trajectory.from_arrays(1.7e9 + 0.01 * np.arange(n),
+                                  rng.uniform(-1e4, 1e4, size=(n, 3)), q)
+    path = tmp_path / "written.tum"
+    write_trajectory(traj, path)
+
+    def refuse(text):
+        raise AssertionError("fell back to the line-by-line parser")
+
+    monkeypatch.setattr(trajectory_io, "_parse_strict", refuse)
+    assert _bits(parse_trajectory(path)) == _bits(traj)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 30),
+       special=st.lists(st.sampled_from([0.0, -0.0, 1e-310, 5e-324, 1e300, -1.5e-7,
+                                         math.nan, math.inf, -math.inf, 1.7e9]),
+                        max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_write_matches_reference_writer(seed, n, special):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, 8)) * 10.0 ** rng.integers(-12, 12, size=(n, 8))
+    for k, value in enumerate(special):
+        if n:
+            rows.flat[(k * 7919) % rows.size] = value
+    traj = Trajectory.from_arrays(rows[:, 0], rows[:, 1:4], rows[:, 4:])
+    buf = io.StringIO()
+    write_trajectory(traj, buf)
+    assert buf.getvalue() == write_trajectory_reference(traj)
 
 
 CP_SAMPLE = b"""\
