@@ -46,7 +46,7 @@ def run(seeds: int, drift_rate: float, noise: float, eps0: float,
         dws = detect_dwells(apply_lever_arm(sc.truth, np.zeros(3)), 0.05, 5.0)
         table = match_visits(dws, sc.checkpoints, sc.context, 1.0)
         est_track = apply_lever_arm(sc.estimate, np.zeros(3))
-        visits = visits_from_table(table, est_track, sc.checkpoints, sc.context)
+        visits, _ = visits_from_table(table, est_track, sc.checkpoints, sc.context)
         errs = checkpoint_errors(visits, sc.checkpoints)
         coords = outage_coordinates(est_track, sc.rtk, visits)
         samples.extend(

@@ -86,26 +86,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    from .geodesy import EnuOrigin, GeoContext
     from .lever_arm import apply_lever_arm
-    from .matching import detect_dwells, export_visit_table, match_visits
-    from .trajectory_io import (first_rtk_fix, parse_checkpoints, parse_rtk_log,
-                                parse_trajectory)
+    from .matching import export_visit_table
+    from .report import detect_visit_table, load_survey
+    from .trajectory_io import parse_trajectory
 
     config = load_run_config(args.config)
-    cps = parse_checkpoints(config.checkpoints, config.zone, config.hemisphere)
-    rtk = parse_rtk_log(config.rtk_log)
-    ctx = GeoContext(first_rtk_fix(rtk), config.zone, config.hemisphere)
-    label = config.table_method or config.methods[0].label
-    method = next(m for m in config.methods if m.label == label)
-    traj = parse_trajectory(method.trajectory)
-    track = apply_lever_arm(traj, config.calibration.t_imu_to_base)
-    th = config.thresholds
-    dwells = detect_dwells(track, th.stationary_radius, th.min_dwell)
-    table = match_visits(dwells, cps, ctx, th.gate_radius,
-                         sequence_id=config.sequence_id, generator_method=label)
-    table.params = {"stationary_radius": th.stationary_radius,
-                    "min_dwell": th.min_dwell, "gate_radius": th.gate_radius}
+    cps, _, ctx = load_survey(config)
+    method = next(m for m in config.methods if m.label == config.table_label)
+    track = apply_lever_arm(parse_trajectory(method.trajectory),
+                            config.calibration.t_imu_to_base)
+    table = detect_visit_table(config, track, cps, ctx)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(export_visit_table(table), encoding="utf-8")

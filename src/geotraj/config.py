@@ -83,6 +83,11 @@ class RunConfig:
     output_dir: Path = Path("out")
     raw: dict = field(default_factory=dict)
 
+    @property
+    def table_label(self) -> str:
+        """Label of the method whose dwells build the visit table."""
+        return self.table_method or self.methods[0].label
+
     def config_bytes(self) -> bytes:
         """Canonical serialization, hashed into report provenance."""
         return (json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

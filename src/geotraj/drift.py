@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AllZeroAbscissa, InsufficientSamples, NoFixAvailable
 from .lever_arm import BaseCenterTrack
-from .matching import CheckpointVisit
+from .matching import CheckpointVisit, nearest_samples
 from .trajectory_io import GnssStatus, RtkLog, _write_text
 
 DEFAULT_EPS0 = 0.02
@@ -74,14 +74,15 @@ def outage_coordinates(track: BaseCenterTrack, log: RtkLog,
                              f"{min_status.name}")
     cum = _cumulative_path(track)
     fix_s = np.interp(fix_times, track.t, cum)
-    out: list[OutageCoordinate] = []
-    for visit in visits:
-        dt = float(np.min(np.abs(fix_times - visit.t_rep)))
-        # Arc length at the visit, interpolated and clamped to the track.
-        s_visit = float(np.interp(visit.t_rep, track.t, cum))
-        dx = float(np.min(np.abs(fix_s - s_visit)))
-        out.append(OutageCoordinate(visit.checkpoint_id, dt, dx))
-    return out
+    t_rep = np.array([v.t_rep for v in visits], dtype=float)
+    # Arc length at each visit, interpolated and clamped to the track.
+    s_visit = np.interp(t_rep, track.t, cum)
+    # The nearest value is a neighbour in sorted order; sorting keeps the
+    # values, so each gap is the minimum over every fix.
+    _, dt = nearest_samples(np.sort(fix_times), t_rep)
+    _, dx = nearest_samples(np.sort(fix_s), s_visit)
+    return [OutageCoordinate(v.checkpoint_id, a, b)
+            for v, a, b in zip(visits, dt.tolist(), dx.tolist())]
 
 
 def fit_drift(samples: Sequence[tuple[float, float]], eps0: float = DEFAULT_EPS0

@@ -69,12 +69,10 @@ class Ellipsoid:
 GRS80 = Ellipsoid(a=6378137.0, f=1.0 / 298.257222101)
 
 
-def _wrap_longitude(lon: float) -> float:
-    """Normalize to (-pi, pi]."""
-    wrapped = math.fmod(lon + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
+def _wrap_longitude(lon):
+    """Normalize to (-pi, pi], elementwise on arrays."""
+    wrapped = np.fmod(lon + math.pi, 2.0 * math.pi)
+    return np.where(wrapped <= 0.0, wrapped + 2.0 * math.pi, wrapped) - math.pi
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class GeodeticCoord:
         if abs(self.lat) > math.pi / 2 + 1e-12:
             raise ValueError(f"latitude {self.lat} outside [-pi/2, pi/2]")
         object.__setattr__(self, "lat", min(max(self.lat, -math.pi / 2), math.pi / 2))
-        object.__setattr__(self, "lon", _wrap_longitude(self.lon))
+        object.__setattr__(self, "lon", float(_wrap_longitude(self.lon)))
 
     @classmethod
     def from_degrees(cls, lat_deg: float, lon_deg: float, h: float) -> "GeodeticCoord":
@@ -152,7 +150,7 @@ class UtmCoord:
             raise ValueError(f"easting {self.easting} outside (0, 1e6)")
 
 
-def central_meridian(zone: int) -> float:
+def _central_meridian(zone: int) -> float:
     """Central meridian of a UTM zone, radians."""
     return math.radians(6 * zone - 183)
 
@@ -197,6 +195,7 @@ def _geodetic_from_ecef_arrays(x, y, z, ell: Ellipsoid):
     lat = np.arctan2(z + ell.ep2 * ell.b * np.sin(u) ** 3,
                      p - ell.e2 * ell.a * np.cos(u) ** 3)
     h = np.zeros_like(lat)
+    active = np.ones(np.shape(lat), dtype=bool)
     for _ in range(_ECEF_MAX_ITER):
         sin_lat = np.sin(lat)
         cos_lat = np.cos(lat)
@@ -208,8 +207,12 @@ def _geodetic_from_ecef_arrays(x, y, z, ell: Ellipsoid):
                          - nu * (1.0 - ell.e2))
         lat_new = np.arctan2(z, p * (1.0 - ell.e2 * nu / (nu + h_new)))
         done = (np.abs(lat_new - lat) < _ECEF_LAT_TOL) & (np.abs(h_new - h) < _ECEF_H_TOL)
-        lat, h = lat_new, h_new
-        if np.all(done):
+        # Each point stops at its own convergence step, so it gets the same
+        # bits in any batch as on its own.
+        lat = np.where(active, lat_new, lat)
+        h = np.where(active, h_new, h)
+        active &= ~done
+        if not active.any():
             return lat, lon, h
     raise NonConvergence("geodetic latitude iteration exceeded "
                          f"{_ECEF_MAX_ITER} iterations")
@@ -241,7 +244,8 @@ def _geodetic_from_enu_arrays(enu, origin: EnuOrigin, ell: Ellipsoid):
     rot = _enu_rotation(origin.origin)
     x0, y0, z0 = _ecef_from_geodetic_arrays(
         origin.origin.lat, origin.origin.lon, origin.origin.h, ell)
-    ecef = enu @ rot + np.array([x0, y0, z0])
+    # Row by row as (1, 3) @ (3, 3): one (N, 3) product may round otherwise.
+    ecef = (enu[..., None, :] @ rot)[..., 0, :] + np.array([x0, y0, z0])
     return _geodetic_from_ecef_arrays(ecef[..., 0], ecef[..., 1], ecef[..., 2], ell)
 
 
@@ -308,8 +312,8 @@ def _utm_from_geodetic_arrays(lat, lon, zone: int, ell: Ellipsoid):
     lon = np.asarray(lon, dtype=float)
     rect_radius, alpha, _ = _tm_coefficients(ell.a, ell.f)
     e = math.sqrt(ell.e2)
-    dlam = np.arctan2(np.sin(lon - central_meridian(zone)),
-                      np.cos(lon - central_meridian(zone)))
+    dlam = np.arctan2(np.sin(lon - _central_meridian(zone)),
+                      np.cos(lon - _central_meridian(zone)))
 
     tau = np.tan(lat)
     sigma = np.sinh(e * np.arctanh(e * tau / np.sqrt(1.0 + tau ** 2)))
@@ -361,21 +365,37 @@ def _geodetic_from_utm_arrays(easting, northing, zone: int, northern, ell: Ellip
 
     taup = np.sin(xi_p) / np.sqrt(np.sinh(eta_p) ** 2 + np.cos(xi_p) ** 2)
     lat = np.arctan(_tau_from_taup(taup, ell.e2))
-    lon = central_meridian(zone) + np.arctan2(np.sinh(eta_p), np.cos(xi_p))
+    lon = _central_meridian(zone) + np.arctan2(np.sinh(eta_p), np.cos(xi_p))
     return lat, lon
 
 
+def _check_utm_domain(lat, lon, zone: int) -> None:
+    """Raise OutOfDomain for the first point outside the UTM domain; log one
+    warning, for the farthest point, when any lies beyond 3.5 deg of the
+    zone's central meridian."""
+    lat = np.atleast_1d(lat)
+    lon = np.atleast_1d(lon)
+    dlam = np.abs(_wrap_longitude(lon - _central_meridian(zone)))
+    polar = np.abs(lat) >= UTM_LAT_LIMIT_RAD
+    bad = polar | (dlam > MERIDIAN_LIMIT_RAD)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if polar[k]:
+            raise OutOfDomain(f"latitude {math.degrees(lat[k]):.3f} deg outside UTM "
+                              "domain (|lat| < 84)")
+        raise OutOfDomain(f"longitude {math.degrees(lon[k]):.3f} deg more than 10 deg "
+                          f"from zone {zone} meridian")
+    wide = dlam > MERIDIAN_WARN_RAD
+    if wide.any():
+        k = int(np.argmax(dlam))
+        log.warning("%d point(s) lie more than 3.5 deg from the zone %d central "
+                    "meridian, up to %.2f deg (longitude %.3f deg); projection error "
+                    "grows quickly out of zone", int(wide.sum()), zone,
+                    math.degrees(dlam[k]), math.degrees(lon[k]))
+
+
 def geodetic_to_utm(g: GeodeticCoord, zone: int, ell: Ellipsoid = GRS80) -> UtmCoord:
-    if abs(g.lat) >= UTM_LAT_LIMIT_RAD:
-        raise OutOfDomain(f"latitude {g.lat_deg:.3f} deg outside UTM domain (|lat| < 84)")
-    dlam = _wrap_longitude(g.lon - central_meridian(zone))
-    if abs(dlam) > MERIDIAN_LIMIT_RAD:
-        raise OutOfDomain(
-            f"longitude {g.lon_deg:.3f} deg more than 10 deg from zone {zone} meridian")
-    if abs(dlam) > MERIDIAN_WARN_RAD:
-        log.warning("longitude %.3f deg is %.2f deg from the zone %d central meridian; "
-                    "projection error grows quickly out of zone",
-                    g.lon_deg, math.degrees(abs(dlam)), zone)
+    _check_utm_domain(g.lat, g.lon, zone)
     easting, northing = _utm_from_geodetic_arrays(g.lat, g.lon, zone, ell)
     hemisphere = "north" if g.lat >= 0.0 else "south"
     return UtmCoord(float(easting), float(northing), g.h, zone, hemisphere)
@@ -412,12 +432,31 @@ class GeoContext:
         g = utm_to_geodetic(u, self.ellipsoid)
         return geodetic_to_enu(g, self.origin, self.ellipsoid)
 
+    def _enu_to_utm_arrays(self, pts):
+        """Easting, northing, height and latitude of (N, 3) ENU points, each
+        row as ``enu_to_utm`` computes it for that point alone."""
+        lat, lon, h = _geodetic_from_enu_arrays(pts, self.origin, self.ellipsoid)
+        # GeodeticCoord clamps and wraps, and the wrap rounds: do the same.
+        lat = np.clip(lat, -math.pi / 2, math.pi / 2)
+        lon = _wrap_longitude(lon)
+        _check_utm_domain(lat, lon, self.zone)
+        easting, northing = _utm_from_geodetic_arrays(lat, lon, self.zone, self.ellipsoid)
+        return easting, northing, h, lat
+
     def enu_to_utm_batch(self, pts: np.ndarray) -> np.ndarray:
         """(N, 3) ENU -> (N, 3) easting/northing/height."""
-        pts = np.asarray(pts, dtype=float)
-        lat, lon, h = _geodetic_from_enu_arrays(pts, self.origin, self.ellipsoid)
-        easting, northing = _utm_from_geodetic_arrays(lat, lon, self.zone, self.ellipsoid)
+        easting, northing, h, _ = self._enu_to_utm_arrays(pts)
         return np.stack([easting, northing, h], axis=-1)
+
+    def enu_to_utm_coords(self, pts: np.ndarray) -> list[UtmCoord]:
+        """``enu_to_utm`` of each row of an (N, 3) ENU array, in one batch.
+
+        Raises OutOfDomain for the first row outside the UTM domain.
+        """
+        easting, northing, h, lat = self._enu_to_utm_arrays(pts)
+        return [UtmCoord(e, n, u, self.zone, "north" if la >= 0.0 else "south")
+                for e, n, u, la in zip(easting.tolist(), northing.tolist(),
+                                       h.tolist(), lat.tolist())]
 
     def utm_to_enu_batch(self, pts: np.ndarray) -> np.ndarray:
         """(N, 3) easting/northing/height -> (N, 3) ENU."""

@@ -23,7 +23,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .errors import LookupGapExceeded, NoCheckpoints, SchemaMismatch, UnknownCheckpoint
-from .geodesy import EnuCoord, GeoContext, UtmCoord
+from .geodesy import GeoContext, UtmCoord
 from .lever_arm import BaseCenterTrack
 from .trajectory_io import Checkpoint
 
@@ -41,6 +41,9 @@ _BOUND_TOL = 1e-6
 _HORIZON_SLACK = 1e-12
 #: Samples converted to Python floats when a window starts growing.
 _FIRST_CHUNK = 32
+#: Dwells per distance block in ``match_visits``: bounds the (dwells,
+#: checkpoints, 3) difference array.
+_MATCH_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -240,66 +243,110 @@ def match_visits(dwells: Sequence[DwellSegment], cps: Sequence[Checkpoint],
     if gate_radius <= 0:
         raise ValueError("gate_radius must be positive")
 
+    ordered = sorted(cps, key=lambda c: c.id)
+    ref = _utm_rows([cp.coord for cp in ordered])
+    coords = ctx.enu_to_utm_coords(
+        np.array([seg.p_rep for seg in dwells], dtype=float).reshape(len(dwells), 3))
+    est = _utm_rows(coords)
+    nearest = np.empty(len(dwells), dtype=np.intp)
+    best = np.empty(len(dwells))
+    for lo in range(0, len(dwells), _MATCH_CHUNK):
+        dist = _norms(est[lo:lo + _MATCH_CHUNK, None, :] - ref)
+        # argmin takes the first of equal distances: the smaller id.
+        nearest[lo:lo + _MATCH_CHUNK] = dist.argmin(axis=1)
+        best[lo:lo + _MATCH_CHUNK] = dist.min(axis=1)
+
     visits: list[CheckpointVisit] = []
     unmatched: list[DwellSegment] = []
-    visited: set[str] = set()
-    for seg in dwells:
-        p_utm = ctx.enu_to_utm(EnuCoord(*seg.p_rep))
-        est = np.array([p_utm.easting, p_utm.northing, p_utm.height])
-        best = None
-        for cp in sorted(cps, key=lambda c: c.id):
-            ref = np.array([cp.coord.easting, cp.coord.northing, cp.coord.height])
-            dist = float(np.linalg.norm(est - ref))
-            if best is None or dist < best[0]:
-                best = (dist, cp.id)
-        assert best is not None
-        if best[0] <= gate_radius:
-            visits.append(CheckpointVisit(best[1], seg.t_mid, p_utm, best[0]))
-            visited.add(best[1])
+    for seg, coord, k, dist in zip(dwells, coords, nearest.tolist(), best.tolist()):
+        if dist <= gate_radius:
+            visits.append(CheckpointVisit(ordered[k].id, seg.t_mid, coord, dist))
         else:
             unmatched.append(seg)
-
+    visited = {v.checkpoint_id for v in visits}
     unvisited = sorted(cp.id for cp in cps if cp.id not in visited)
     return VisitTable(sequence_id, generator_method, visits, unmatched, unvisited)
+
+
+def _utm_rows(coords: Sequence[UtmCoord]) -> np.ndarray:
+    """(N, 3) easting/northing/height of UTM coordinates."""
+    return np.array([(u.easting, u.northing, u.height) for u in coords],
+                    dtype=float).reshape(len(coords), 3)
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each rounded as ``np.linalg.norm``
+    rounds one 3-vector: as the square root of one dot product."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def nearest_samples(t: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the entry of sorted ``t`` nearest each query time, and the gap.
+
+    On equal gaps the earlier entry wins, as ``np.argmin(np.abs(t - q))``
+    decides. Rounded differences never shrink away from ``q`` in a sorted
+    array, so the nearest entry is one of the two that bracket ``q``.
+    """
+    n = len(t)
+    right = np.searchsorted(t, query)
+    left = np.maximum(right - 1, 0)
+    gap_left = np.where(right > 0, np.abs(t[left] - query), np.inf)
+    gap_right = np.where(right < n, np.abs(t[np.minimum(right, n - 1)] - query), np.inf)
+    take_left = gap_left <= gap_right
+    return (np.where(take_left, left, right),
+            np.where(take_left, gap_left, gap_right))
+
+
+def _gap_message(t_rep: float, gap: float, max_gap: float) -> str:
+    return f"nearest sample is {gap:.3f} s from t={t_rep:.3f} (limit {max_gap} s)"
 
 
 def pose_at(track: BaseCenterTrack, t_rep: float,
             max_gap: float = LOOKUP_MAX_GAP) -> np.ndarray:
     """Track position at the sample nearest t_rep; no interpolation."""
-    idx = int(np.argmin(np.abs(track.t - t_rep)))
-    gap = abs(float(track.t[idx]) - t_rep)
-    if gap > max_gap:
-        raise LookupGapExceeded(
-            f"nearest sample is {gap:.3f} s from t={t_rep:.3f} (limit {max_gap} s)")
-    return track.p[idx]
+    idx, gap = nearest_samples(track.t, np.array([t_rep], dtype=float))
+    if not gap[0] <= max_gap:
+        raise LookupGapExceeded(_gap_message(t_rep, float(gap[0]), max_gap))
+    return track.p[idx[0]]
 
 
 def visits_from_table(table: VisitTable, track: BaseCenterTrack,
                       cps: Sequence[Checkpoint], ctx: GeoContext,
-                      max_gap: float = LOOKUP_MAX_GAP) -> list[CheckpointVisit]:
+                      max_gap: float = LOOKUP_MAX_GAP
+                      ) -> tuple[list[CheckpointVisit], list[str]]:
     """Re-evaluate the table's timestamps against another method's track.
 
     The table fixes (checkpoint_id, t_rep); the position is the evaluated
     track's nearest sample, so all methods answer the same question: where
     does this method think it was at the instant the device sat on the
-    checkpoint.
+    checkpoint. Returns the visits, in table order, and one message per
+    visit skipped because no sample lies within ``max_gap`` seconds.
+
+    Raises UnknownCheckpoint or SchemaMismatch (non-finite ``t_rep``) for
+    the first such visit in table order.
     """
     if not cps:
         raise NoCheckpoints("cannot evaluate visits without checkpoints")
     by_id = {cp.id: cp for cp in cps}
-    out: list[CheckpointVisit] = []
     for visit in table.visits:
-        cp = by_id.get(visit.checkpoint_id)
-        if cp is None:
+        if visit.checkpoint_id not in by_id:
             raise UnknownCheckpoint(f"table references unknown checkpoint "
                                     f"{visit.checkpoint_id!r}")
-        p = pose_at(track, visit.t_rep, max_gap)
-        p_utm = ctx.enu_to_utm(EnuCoord(float(p[0]), float(p[1]), float(p[2])))
-        dist = float(np.linalg.norm(
-            np.array([p_utm.easting, p_utm.northing, p_utm.height])
-            - np.array([cp.coord.easting, cp.coord.northing, cp.coord.height])))
-        out.append(CheckpointVisit(visit.checkpoint_id, visit.t_rep, p_utm, dist))
-    return out
+        if not math.isfinite(visit.t_rep):
+            raise SchemaMismatch(f"visit of {visit.checkpoint_id!r} has non-finite "
+                                 f"t_rep {visit.t_rep!r}")
+    t_rep = np.array([v.t_rep for v in table.visits], dtype=float)
+    idx, gap = nearest_samples(track.t, t_rep)
+    near = gap <= max_gap
+    kept = [v for v, ok in zip(table.visits, near.tolist()) if ok]
+    coords = ctx.enu_to_utm_coords(track.p[idx[near]])
+    dist = _norms(_utm_rows(coords) - _utm_rows([by_id[v.checkpoint_id].coord
+                                                 for v in kept]))
+    visits = [CheckpointVisit(v.checkpoint_id, v.t_rep, coord, d)
+              for v, coord, d in zip(kept, coords, dist.tolist())]
+    skipped = [f"{v.checkpoint_id}@{v.t_rep:.3f}: {_gap_message(v.t_rep, g, max_gap)}"
+               for v, g, ok in zip(table.visits, gap.tolist(), near.tolist()) if not ok]
+    return visits, skipped
 
 
 _TABLE_SCHEMA_KEYS = {"sequence_id", "generator_method", "visits",
@@ -332,7 +379,15 @@ def export_visit_table(table: VisitTable) -> str:
         "unvisited_checkpoints": list(table.unvisited_checkpoints),
         "params": table.params,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite_float(token: str) -> float:
+    """JSON number or NaN/Infinity token; only finite values pass."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise SchemaMismatch(f"visit table holds a non-finite number: {token}")
+    return value
 
 
 def import_visit_table(source: Union[str, Path, bytes, IO]) -> VisitTable:
@@ -345,7 +400,8 @@ def import_visit_table(source: Union[str, Path, bytes, IO]) -> VisitTable:
         if isinstance(text, bytes):
             text = text.decode("utf-8", errors="replace")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_float,
+                         parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"visit table is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not _TABLE_SCHEMA_KEYS.issubset(doc):
@@ -367,7 +423,7 @@ def import_visit_table(source: Union[str, Path, bytes, IO]) -> VisitTable:
         ]
         unvisited = [str(c) for c in doc["unvisited_checkpoints"]]
         params = dict(doc["params"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"visit table field error: {exc}") from None
     return VisitTable(str(doc["sequence_id"]), str(doc["generator_method"]),
                       visits, unmatched, unvisited, params)

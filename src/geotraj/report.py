@@ -33,15 +33,15 @@ from . import __version__
 from .config import RunConfig
 from .drift import (DriftFit, DriftSample, fit_drift, outage_coordinates,
                     write_drift_csv)
-from .errors import InsufficientSamples, LookupGapExceeded, AllZeroAbscissa
+from .errors import InsufficientSamples, AllZeroAbscissa
 from .geodesy import GeoContext
 from .lever_arm import BaseCenterTrack, apply_lever_arm
 from .matching import (VisitTable, detect_dwells, export_visit_table,
                        import_visit_table, match_visits, visits_from_table)
 from .metrics import AccuracySummary, CheckpointError, summarize
 from .svg import bar_chart, drift_scatter, trajectory_overlay
-from .trajectory_io import (GnssStatus, first_rtk_fix, parse_checkpoints,
-                            parse_rtk_log, parse_trajectory)
+from .trajectory_io import (Checkpoint, GnssStatus, RtkLog, first_rtk_fix,
+                            parse_checkpoints, parse_rtk_log, parse_trajectory)
 
 RTK_METHOD_LABEL = "rtk-standalone"
 
@@ -88,12 +88,31 @@ def _rtk_standalone_track(log_records, ctx: GeoContext, calibration) -> BaseCent
     return BaseCenterTrack(t, antenna_enu + offset)
 
 
-def evaluate_run(config: RunConfig) -> EvaluationReport:
-    warnings: list[str] = []
+def load_survey(config: RunConfig) -> tuple[list[Checkpoint], RtkLog, GeoContext]:
+    """Checkpoints, RTK log and the frame context anchored at its first fix."""
     cps = parse_checkpoints(config.checkpoints, config.zone, config.hemisphere)
     rtk = parse_rtk_log(config.rtk_log)
-    origin = first_rtk_fix(rtk)
-    ctx = GeoContext(origin, config.zone, config.hemisphere)
+    ctx = GeoContext(first_rtk_fix(rtk), config.zone, config.hemisphere)
+    return cps, rtk, ctx
+
+
+def detect_visit_table(config: RunConfig, track: BaseCenterTrack,
+                       cps: list[Checkpoint], ctx: GeoContext) -> VisitTable:
+    """Visit table from the dwells of ``track``, the base-center track of
+    ``config.table_label``, matched to the checkpoints."""
+    th = config.thresholds
+    dwells = detect_dwells(track, th.stationary_radius, th.min_dwell)
+    table = match_visits(dwells, cps, ctx, th.gate_radius,
+                         sequence_id=config.sequence_id,
+                         generator_method=config.table_label)
+    table.params = {"stationary_radius": th.stationary_radius,
+                    "min_dwell": th.min_dwell, "gate_radius": th.gate_radius}
+    return table
+
+
+def evaluate_run(config: RunConfig) -> EvaluationReport:
+    warnings: list[str] = []
+    cps, rtk, ctx = load_survey(config)
 
     tracks: dict[str, BaseCenterTrack] = {}
     for method in config.methods:
@@ -110,13 +129,7 @@ def evaluate_run(config: RunConfig) -> EvaluationReport:
             warnings.append(f"visit table was built for sequence "
                             f"{table.sequence_id!r}, evaluating {config.sequence_id!r}")
     else:
-        table_label = config.table_method or config.methods[0].label
-        dwells = detect_dwells(tracks[table_label], th.stationary_radius, th.min_dwell)
-        table = match_visits(dwells, cps, ctx, th.gate_radius,
-                             sequence_id=config.sequence_id,
-                             generator_method=table_label)
-        table.params = {"stationary_radius": th.stationary_radius,
-                        "min_dwell": th.min_dwell, "gate_radius": th.gate_radius}
+        table = detect_visit_table(config, tracks[config.table_label], cps, ctx)
     if table.unvisited_checkpoints:
         warnings.append("checkpoints never visited: "
                         + ", ".join(table.unvisited_checkpoints))
@@ -127,14 +140,7 @@ def evaluate_run(config: RunConfig) -> EvaluationReport:
 
     results: list[MethodResult] = []
     for label, track in tracks.items():
-        visits = []
-        skipped = []
-        for one in table.visits:
-            sub = VisitTable(table.sequence_id, table.generator_method, [one])
-            try:
-                visits.extend(visits_from_table(sub, track, cps, ctx))
-            except LookupGapExceeded as exc:
-                skipped.append(f"{one.checkpoint_id}@{one.t_rep:.3f}: {exc}")
+        visits, skipped = visits_from_table(table, track, cps, ctx)
         if skipped:
             warnings.append(f"{label}: skipped {len(skipped)} visit(s) without "
                             "nearby poses")
@@ -230,7 +236,8 @@ def write_report(report: EvaluationReport, outdir: Path | str) -> None:
 
     doc = report_to_dict(report)
     (outdir / "report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8")
 
     (outdir / "visit_table.json").write_text(export_visit_table(report.table),
                                              encoding="utf-8")

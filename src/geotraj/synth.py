@@ -414,6 +414,30 @@ def _umeyama_numpy(est: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:
     return float(np.sqrt(np.mean(np.sum(res ** 2, axis=1)))), True
 
 
+def _nearest(sorted_x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the entry of sorted ``sorted_x`` nearest each ``q`` (the
+    earlier one on a tie, as ``argmin`` picks) and its absolute distance."""
+    right = np.searchsorted(sorted_x, q)
+    left = np.maximum(right - 1, 0)
+    d_left = np.where(right > 0, np.abs(sorted_x[left] - q), np.inf)
+    d_right = np.where(right < len(sorted_x),
+                       np.abs(sorted_x[np.minimum(right, len(sorted_x) - 1)] - q), np.inf)
+    take_left = d_left <= d_right
+    return np.where(take_left, left, right), np.where(take_left, d_left, d_right)
+
+
+def _visit_samples(t: np.ndarray, visit_t: np.ndarray, fix_times: np.ndarray,
+                   cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per visit: the nearest sample's index, and the time and arc length to
+    the nearest fix. Each distance is the minimum over every fix: sorting
+    keeps the values, and in sorted order the nearest is a neighbour."""
+    k_idx, _ = _nearest(t, visit_t)
+    _, dt_s = _nearest(np.sort(fix_times), visit_t)
+    _, dx_m = _nearest(np.sort(np.interp(fix_times, t, cum)),
+                       np.interp(visit_t, t, cum))
+    return k_idx, dt_s, dx_m
+
+
 def expected_metrics(scenario: Scenario, eps0: float = 0.02) -> ExpectedMetrics:
     """Brute-force expected values from the generated arrays.
 
@@ -423,13 +447,14 @@ def expected_metrics(scenario: Scenario, eps0: float = 0.02) -> ExpectedMetrics:
     """
     spec = scenario.spec
     t = scenario.t
-    ids: list[str] = []
-    vts, ks = [], []
-    for w in scenario.dwell_windows:
-        ids.append(w.checkpoint_id)
-        vts.append(w.t_mid)
-        ks.append(int(np.argmin(np.abs(t - w.t_mid))))
-    k_idx = np.array(ks, dtype=int)
+    ids = [w.checkpoint_id for w in scenario.dwell_windows]
+    vt_arr = np.array([w.t_mid for w in scenario.dwell_windows], dtype=float)
+    # Outage coordinates against the analytic fix grid and the truth path.
+    fix_times = np.array([r.t for r in scenario.rtk.records
+                          if r.status is GnssStatus.RTK_FIX])
+    steps = np.linalg.norm(np.diff(scenario.truth_utm, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    k_idx, dt_s, dx_m = _visit_samples(t, vt_arr, fix_times, cum)
 
     ref = np.array([w.waypoint for w in scenario.dwell_windows], dtype=float)
     est = scenario.estimate_utm[k_idx]
@@ -450,17 +475,6 @@ def expected_metrics(scenario: Scenario, eps0: float = 0.02) -> ExpectedMetrics:
             gap = 100.0 * (1.0 - rmse_al / rmse_abs)
     summary = AccuracySummary(rmse_abs, rmse_al, gap, len(eps_norm),
                               (float(per_axis[0]), float(per_axis[1]), float(per_axis[2])))
-
-    # Outage coordinates against the analytic fix grid and the truth path.
-    fix_times = np.array([r.t for r in scenario.rtk.records
-                          if r.status is GnssStatus.RTK_FIX])
-    steps = np.linalg.norm(np.diff(scenario.truth_utm, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
-    vt_arr = np.array(vts)
-    dt_s = np.array([float(np.min(np.abs(fix_times - v))) for v in vt_arr])
-    s_fix = np.interp(fix_times, t, cum)
-    s_vis = np.interp(vt_arr, t, cum)
-    dx_m = np.array([float(np.min(np.abs(s_fix - s))) for s in s_vis])
 
     # Expected error magnitude per visit: chi distribution mean with the
     # tracked random-walk variance plus measurement noise, valid for zero

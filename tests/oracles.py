@@ -22,6 +22,10 @@ package under test:
   package's ``write_trajectory`` must produce the same text.
 * Synthetic receiver track and drift: the original per-sample loops over
   motion segments and outage runs; ``synth`` must reproduce them bit for bit.
+* Visit matching, pose lookup and outage coordinates: the original loops,
+  one scalar geodesy call, one ``np.linalg.norm`` and one full ``argmin`` or
+  ``np.min`` scan per dwell or visit; ``matching``, ``drift`` and the
+  ``synth`` oracle must reproduce them bit for bit.
 
 Run as a script to print the frozen fixture values.
 """
@@ -31,7 +35,10 @@ import math
 import mpmath as mp
 import numpy as np
 
-from geotraj.matching import DwellSegment
+from geotraj.errors import LookupGapExceeded, NoCheckpoints, UnknownCheckpoint
+from geotraj.geodesy import EnuCoord
+from geotraj.matching import CheckpointVisit, DwellSegment, VisitTable
+from geotraj.trajectory_io import GnssStatus
 
 mp.mp.dps = 50
 
@@ -206,6 +213,94 @@ def random_walk_reference(t, drift_rate, reset_tau_s, outage_windows, rng):
             var[k + 1:run_end + 1] = var[k] * factors ** 2
         k = run_end
     return rw, var
+
+
+def match_visits_reference(dwells, cps, ctx, gate_radius=1.0, sequence_id="",
+                           generator_method=""):
+    """Each dwell against every checkpoint, re-sorted by id per dwell; the
+    first strictly smaller distance wins."""
+    if not cps:
+        raise NoCheckpoints("cannot match visits without checkpoints")
+    visits, unmatched, visited = [], [], set()
+    for seg in dwells:
+        p_utm = ctx.enu_to_utm(EnuCoord(*seg.p_rep))
+        est = np.array([p_utm.easting, p_utm.northing, p_utm.height])
+        best = None
+        for cp in sorted(cps, key=lambda c: c.id):
+            ref = np.array([cp.coord.easting, cp.coord.northing, cp.coord.height])
+            dist = float(np.linalg.norm(est - ref))
+            if best is None or dist < best[0]:
+                best = (dist, cp.id)
+        if best[0] <= gate_radius:
+            visits.append(CheckpointVisit(best[1], seg.t_mid, p_utm, best[0]))
+            visited.add(best[1])
+        else:
+            unmatched.append(seg)
+    unvisited = sorted(cp.id for cp in cps if cp.id not in visited)
+    return VisitTable(sequence_id, generator_method, visits, unmatched, unvisited)
+
+
+def pose_at_reference(track, t_rep, max_gap=0.2):
+    """Position of the first sample with the smallest |t - t_rep|."""
+    idx = int(np.argmin(np.abs(track.t - t_rep)))
+    gap = abs(float(track.t[idx]) - t_rep)
+    if gap > max_gap:
+        raise LookupGapExceeded(
+            f"nearest sample is {gap:.3f} s from t={t_rep:.3f} (limit {max_gap} s)")
+    return track.p[idx]
+
+
+def visits_from_table_reference(table, track, cps, ctx, max_gap=0.2):
+    """One visit at a time: id check, lookup, scalar conversion and norm; a
+    lookup beyond ``max_gap`` becomes a skip message. Returns (visits,
+    skipped)."""
+    if not cps:
+        raise NoCheckpoints("cannot evaluate visits without checkpoints")
+    by_id = {cp.id: cp for cp in cps}
+    visits, skipped = [], []
+    for visit in table.visits:
+        cp = by_id.get(visit.checkpoint_id)
+        if cp is None:
+            raise UnknownCheckpoint(f"table references unknown checkpoint "
+                                    f"{visit.checkpoint_id!r}")
+        try:
+            p = pose_at_reference(track, visit.t_rep, max_gap)
+        except LookupGapExceeded as exc:
+            skipped.append(f"{visit.checkpoint_id}@{visit.t_rep:.3f}: {exc}")
+            continue
+        p_utm = ctx.enu_to_utm(EnuCoord(float(p[0]), float(p[1]), float(p[2])))
+        dist = float(np.linalg.norm(
+            np.array([p_utm.easting, p_utm.northing, p_utm.height])
+            - np.array([cp.coord.easting, cp.coord.northing, cp.coord.height])))
+        visits.append(CheckpointVisit(visit.checkpoint_id, visit.t_rep, p_utm, dist))
+    return visits, skipped
+
+
+def outage_coordinates_reference(track, log, visits,
+                                 min_status=GnssStatus.RTK_FIX):
+    """(checkpoint id, dt, dx) per visit, each a full scan over the fixes."""
+    fix_times = np.array([rec.t for rec in log.records if rec.status >= min_status])
+    steps = np.linalg.norm(np.diff(track.p, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    fix_s = np.interp(fix_times, track.t, cum)
+    out = []
+    for visit in visits:
+        dt = float(np.min(np.abs(fix_times - visit.t_rep)))
+        s_visit = float(np.interp(visit.t_rep, track.t, cum))
+        dx = float(np.min(np.abs(fix_s - s_visit)))
+        out.append((visit.checkpoint_id, dt, dx))
+    return out
+
+
+def expected_nearest_reference(t, visit_t, fix_times, cum):
+    """The synthetic oracle's per-visit scans: the nearest sample's index and
+    the time and arc length to the nearest fix."""
+    k_idx = np.array([int(np.argmin(np.abs(t - v))) for v in visit_t], dtype=int)
+    dt_s = np.array([float(np.min(np.abs(fix_times - v))) for v in visit_t])
+    s_fix = np.interp(fix_times, t, cum)
+    s_vis = np.interp(visit_t, t, cum)
+    dx_m = np.array([float(np.min(np.abs(s_fix - s))) for s in s_vis])
+    return k_idx, dt_s, dx_m
 
 
 if __name__ == "__main__":

@@ -175,7 +175,7 @@ def test_criterion_5_drift_recovery():
         dws = detect_dwells(apply_lever_arm(sc.truth, np.zeros(3)), 0.05, 5.0)
         table = match_visits(dws, sc.checkpoints, sc.context, 1.0)
         est_track = apply_lever_arm(sc.estimate, np.zeros(3))
-        visits = visits_from_table(table, est_track, sc.checkpoints, sc.context)
+        visits, _ = visits_from_table(table, est_track, sc.checkpoints, sc.context)
         errs = checkpoint_errors(visits, sc.checkpoints)
         coords = outage_coordinates(est_track, sc.rtk, visits)
         pooled.extend(
@@ -228,8 +228,8 @@ def test_criterion_6_matching_determinism():
     text = export_visit_table(table)
     reimported = import_visit_table(text.encode())
     assert export_visit_table(reimported) == text
-    second = visits_from_table(reimported, apply_lever_arm(sc.estimate, np.zeros(3)),
-                               sc.checkpoints, sc.context)
+    second, _ = visits_from_table(reimported, apply_lever_arm(sc.estimate, np.zeros(3)),
+                                  sc.checkpoints, sc.context)
     assert [v.t_rep for v in second] == [v.t_rep for v in table.visits]
     assert [v.checkpoint_id for v in second] == [v.checkpoint_id for v in table.visits]
     elapsed = time.monotonic() - t0

@@ -132,6 +132,32 @@ def test_match_then_evaluate_with_imported_table(bias_bundle, tmp_path, capsys):
     assert doc["visit_table"]["generator_method"] == "slam"
 
 
+def test_match_writes_the_table_evaluate_builds(bias_bundle, tmp_path):
+    table_path = tmp_path / "table.json"
+    assert main(["match", "--config", str(bias_bundle / "run.json"),
+                 "--out", str(table_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(bias_bundle / "run.json"),
+                 "--out", str(out)]) == 0
+    assert table_path.read_bytes() == (out / "visit_table.json").read_bytes()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_exit_code_non_finite_visit_table(bias_bundle, tmp_path, capsys, token):
+    table_path = tmp_path / "table.json"
+    assert main(["match", "--config", str(bias_bundle / "run.json"),
+                 "--out", str(table_path)]) == 0
+    doc = re.sub(r'"t_rep": [^,]+,', f'"t_rep": {token},', table_path.read_text(),
+                 count=1)
+    assert token in doc
+    table_path.write_text(doc)
+    rc = main(["evaluate", "--config", str(bias_bundle / "run.json"),
+               "--visit-table", str(table_path), "--out", str(tmp_path / "out")])
+    assert rc == 7
+    assert "SchemaMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_env_var_sets_output_dir_and_flag_wins(bias_bundle, tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("GEOTRAJ_OUT", str(env_dir))

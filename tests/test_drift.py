@@ -188,3 +188,35 @@ def test_drift_report_handles_empty_input():
     assert "<svg" in svg_buf.getvalue()
     with pytest.raises(ValueError):
         drift_report([], {}, "altitude", io.StringIO(), io.StringIO())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80), n_rec=st.integers(1, 40),
+       n_visits=st.integers(0, 20), epoch=st.booleans(), shuffled=st.booleans())
+def test_outage_coordinates_match_reference(seed, n, n_rec, n_visits, epoch, shuffled):
+    """Differential check against the per-visit scans over every fix: fixes
+    outside the track, repeated fix times, still stretches (equal arc
+    lengths), visits on and between fixes, and records out of order."""
+    from oracles import outage_coordinates_reference
+
+    rng = np.random.default_rng(seed)
+    t0 = 1.7e9 if epoch else 0.0
+    t = t0 + np.cumsum(rng.uniform(0.05, 1.0, size=n))
+    steps = rng.uniform(-1.0, 1.0, size=(n, 3)) * (rng.random((n, 1)) < 0.6)
+    track = BaseCenterTrack(t, np.cumsum(steps, axis=0))
+    rec_t = np.sort(rng.uniform(t[0] - 3.0, t[-1] + 3.0, size=n_rec))
+    rec_t[rng.random(n_rec) < 0.2] = t[0]
+    rec_t.sort()
+    status = rng.choice([GnssStatus.NONE, GnssStatus.RTK_FLOAT, GnssStatus.RTK_FIX],
+                        size=n_rec)
+    status[rng.integers(0, n_rec)] = GnssStatus.RTK_FIX
+    records = list(zip(rec_t.tolist(), map(GnssStatus, status.tolist())))
+    if shuffled:
+        records = [records[k] for k in rng.permutation(n_rec)]
+    log = _log(records)
+    vt = np.concatenate([rec_t, t, 0.5 * (t[1:] + t[:-1]),
+                         rng.uniform(t[0] - 5.0, t[-1] + 5.0, size=n)])
+    visits = [_visit(f"CP{k}", v) for k, v in enumerate(rng.choice(vt, size=n_visits))]
+    got = outage_coordinates(track, log, visits)
+    assert [(c.checkpoint_id, c.dt_nearest_fix, c.dx_nearest_fix) for c in got] == \
+        outage_coordinates_reference(track, log, visits)

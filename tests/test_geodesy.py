@@ -226,3 +226,58 @@ def test_context_batch_matches_scalar():
 def test_grs80_derived_quantities():
     assert abs(GRS80.b - 6356752.314140356) < 1e-6
     assert abs(GRS80.e2 - 0.006694380022900787) < 1e-17
+
+
+# (lat deg, lon deg, h, zone, hemisphere): northern hemisphere; southern
+# hemisphere close enough to the equator that 5 km reach both sides; 3 deg
+# east of the zone 32 central meridian.
+_BATCH_SITES = [(48.78, 9.18, 300.0, 32, "north"),
+                (-0.02, 21.0, 50.0, 34, "south"),
+                (47.5, 12.0, 500.0, 32, "north")]
+
+
+def _site_ctx(site):
+    lat, lon, h, zone, hemisphere = site
+    return GeoContext(EnuOrigin(GeodeticCoord.from_degrees(lat, lon, h)), zone,
+                      hemisphere)
+
+
+@pytest.mark.parametrize("site", _BATCH_SITES)
+def test_batch_enu_to_utm_equals_scalar_bit_for_bit(site):
+    """Every row of one batch equals the scalar conversion of that point,
+    hemisphere included, at offsets from millimetres to 5 km."""
+    ctx = _site_ctx(site)
+    rng = np.random.default_rng(2024)
+    scale = 10.0 ** rng.uniform(-3.0, math.log10(5000.0), size=(500, 1))
+    pts = rng.uniform(-1.0, 1.0, size=(500, 3)) * scale
+    got = ctx.enu_to_utm_coords(pts)
+    assert got == [ctx.enu_to_utm(EnuCoord(*p)) for p in pts]
+    assert ctx.enu_to_utm_batch(pts).tolist() == \
+        [[u.easting, u.northing, u.height] for u in got]
+    if site[0] < 0:
+        assert {u.hemisphere for u in got} == {"north", "south"}
+
+
+def test_batch_rows_keep_their_own_convergence_step():
+    """Rows that converge after different numbers of iterations: a mixed
+    batch equals each row converted alone."""
+    ctx = _site_ctx(_BATCH_SITES[0])
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.0, 1.0, size=(400, 3)) * rng.choice([1e-3, 1.0, 5e3, 3e4],
+                                                             size=(400, 1))
+    batch = ctx.enu_to_utm_batch(pts)
+    alone = np.vstack([ctx.enu_to_utm_batch(p[None]) for p in pts])
+    assert batch.tobytes() == alone.tobytes()
+
+
+def test_batch_domain_checks_once_per_call(caplog):
+    off_zone = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(48.0, 14.0, 0.0)), 32)
+    with caplog.at_level("WARNING", logger="geotraj.geodesy"):
+        off_zone.enu_to_utm_coords(np.zeros((50, 3)))
+    assert sum("central meridian" in rec.message for rec in caplog.records) == 1
+    ctx = _site_ctx(_BATCH_SITES[0])
+    with pytest.raises(OutOfDomain, match="more than 10 deg"):
+        ctx.enu_to_utm_coords(np.array([[0.0, 0.0, 0.0], [900e3, 0.0, 0.0]]))
+    polar = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(84.5, 9.0, 0.0)), 32)
+    with pytest.raises(OutOfDomain, match="latitude"):
+        polar.enu_to_utm_batch(np.zeros((2, 3)))

@@ -26,7 +26,8 @@ from geotraj.matching import (
 )
 from geotraj.synth import ScenarioSpec, generate
 from geotraj.trajectory_io import Checkpoint
-from oracles import detect_dwells_reference
+from oracles import (detect_dwells_reference, match_visits_reference,
+                     visits_from_table_reference)
 
 
 def _ctx() -> GeoContext:
@@ -280,7 +281,8 @@ def test_visits_from_table_reuses_timestamps_and_recomputes_positions():
     ])
     # Second method is offset 0.3 m east at the same instants.
     track = _track(np.arange(9.0), [[0.3, 0.0, 0.0]] * 9)
-    visits = visits_from_table(table, track, cps, ctx)
+    visits, skipped = visits_from_table(table, track, cps, ctx)
+    assert skipped == []
     assert [v.t_rep for v in visits] == [4.0]
     assert visits[0].distance_to_cp == pytest.approx(0.3, rel=1e-3)
 
@@ -291,7 +293,7 @@ def test_visits_from_table_applies_no_gate():
     table = VisitTable("seq", "truth",
                        [CheckpointVisit("CP1", 1.0, cps[0].coord, 0.0)])
     track = _track([0.0, 1.0, 2.0], [[500.0, 0.0, 0.0]] * 3)
-    visits = visits_from_table(table, track, cps, ctx)
+    visits, _ = visits_from_table(table, track, cps, ctx)
     assert visits[0].distance_to_cp > 400.0
 
 
@@ -311,8 +313,152 @@ def test_visits_from_table_gap_exceeded():
     table = VisitTable("seq", "truth",
                        [CheckpointVisit("CP1", 10.0, cps[0].coord, 0.0)])
     track = _track([0.0, 1.0], [[0.0, 0.0, 0.0]] * 2)
-    with pytest.raises(LookupGapExceeded):
+    assert visits_from_table(table, track, cps, ctx) == (
+        [], ["CP1@10.000: nearest sample is 9.000 s from t=10.000 (limit 0.2 s)"])
+
+
+_IDS = ["CP1", "CP10", "CP2", "A", "b", "cp-07", "Z9", "CP02"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_dwells=st.integers(0, 40),
+       n_cps=st.integers(1, len(_IDS)), copies=st.integers(0, 3),
+       gate=st.sampled_from([0.5, 1.0, 3.0]))
+def test_match_visits_matches_reference(seed, n_dwells, n_cps, copies, gate):
+    """Differential check against the per-dwell loop; ``copies`` checkpoints
+    share another's coordinate, so equal distances must break on the id."""
+    rng = np.random.default_rng(seed)
+    ctx = _ctx()
+    ids = list(rng.permutation(_IDS)[:n_cps])
+    enu = rng.uniform(-30.0, 30.0, size=(n_cps, 3))
+    for k in range(min(copies, n_cps - 1)):
+        enu[k + 1] = enu[0]
+    cps = [_cp_at_enu(ctx, cp_id, *p) for cp_id, p in zip(ids, enu)]
+    near = enu[rng.integers(0, n_cps, size=n_dwells)]
+    p_rep = np.where(rng.random((n_dwells, 1)) < 0.7,
+                     near + rng.normal(0.0, 0.5 * gate, size=(n_dwells, 3)),
+                     rng.uniform(-40.0, 40.0, size=(n_dwells, 3)))
+    starts = np.cumsum(rng.uniform(1.0, 20.0, size=n_dwells))
+    dwells = [DwellSegment(float(a), float(a + 6.0), tuple(map(float, p)))
+              for a, p in zip(starts, p_rep)]
+    got = match_visits(dwells, cps, ctx, gate, "seq", "slam")
+    want = match_visits_reference(dwells, cps, ctx, gate, "seq", "slam")
+    assert got.visits == want.visits
+    assert got.unmatched_segments == want.unmatched_segments
+    assert got.unvisited_checkpoints == want.unvisited_checkpoints
+    assert (got.sequence_id, got.generator_method) == ("seq", "slam")
+
+
+def test_match_visits_chunks_many_dwells():
+    """More dwells than one distance block holds."""
+    ctx = _ctx()
+    rng = np.random.default_rng(3)
+    grid = np.array([[5.0 * (k % 7), 5.0 * (k // 7), 0.0] for k in range(30)])
+    p_rep = grid[rng.integers(0, 30, size=600)] + rng.uniform(-2.0, 2.0, size=(600, 3))
+    dwells = [DwellSegment(10.0 * k, 10.0 * k + 6.0, tuple(p.tolist()))
+              for k, p in enumerate(p_rep)]
+    cps = [_cp_at_enu(ctx, f"CP{k}", *p) for k, p in enumerate(grid)]
+    got = match_visits(dwells, cps, ctx, 2.0)
+    want = match_visits_reference(dwells, cps, ctx, 2.0)
+    assert len(got.visits) > 256
+    assert got.visits == want.visits
+    assert got.unmatched_segments == want.unmatched_segments
+
+
+def _clock(kind, n, rng):
+    if kind == "tenths":
+        return np.arange(n) * 0.1
+    if kind == "epoch":
+        # Unix-epoch times, where one ulp is 0.24 us.
+        return 1.7e9 + np.arange(n) * 0.1
+    if kind == "quarters":
+        return np.arange(n) * 0.25
+    if kind == "seconds":
+        return np.arange(n) * 1.0
+    return np.cumsum(rng.uniform(0.01, 0.6, size=n))
+
+
+def _table_times(t, rng, count, max_gap):
+    """Sample times, exact midpoints, samples +- max_gap, times before the
+    first and after the last sample, and times anywhere in between."""
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(0, len(t)))
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            out.append(float(t[k]))
+        elif kind == 1 and k + 1 < len(t):
+            out.append(float(0.5 * (t[k] + t[k + 1])))
+        elif kind == 2:
+            out.append(float(t[k] + rng.choice([-1.0, 1.0]) * max_gap))
+        elif kind == 3:
+            out.append(float(t[0] - rng.choice([max_gap, 0.1, 5.0])))
+        elif kind == 4:
+            out.append(float(t[-1] + rng.choice([max_gap, 0.1, 5.0])))
+        else:
+            out.append(float(rng.uniform(t[0] - 1.0, t[-1] + 1.0)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), count=st.integers(0, 25),
+       clock=st.sampled_from(["tenths", "epoch", "quarters", "seconds", "jittered"]),
+       max_gap=st.sampled_from([0.2, 0.25, 0.05]), ghost=st.booleans())
+def test_visits_from_table_matches_reference(seed, n, count, clock, max_gap, ghost):
+    """Differential check against the one-visit-at-a-time lookup: same
+    visits and skip messages, or the same error for an unknown id."""
+    rng = np.random.default_rng(seed)
+    ctx = _ctx()
+    cps = [_cp_at_enu(ctx, cp_id, *rng.uniform(-20.0, 20.0, size=3))
+           for cp_id in ("CP1", "CP2", "CP3")]
+    t = _clock(clock, n, rng)
+    track = _track(t, rng.uniform(-25.0, 25.0, size=(n, 3)))
+    ids = rng.choice(["CP1", "CP2", "CP3"], size=count).tolist()
+    if ghost and count:
+        ids[int(rng.integers(0, count))] = "GHOST"
+    visits = [CheckpointVisit(cp_id, t_rep, cps[0].coord, 0.0)
+              for cp_id, t_rep in zip(ids, _table_times(t, rng, count, max_gap))]
+    table = VisitTable("seq", "slam", visits)
+    try:
+        want = visits_from_table_reference(table, track, cps, ctx, max_gap)
+    except UnknownCheckpoint as exc:
+        with pytest.raises(UnknownCheckpoint, match=str(exc)):
+            visits_from_table(table, track, cps, ctx, max_gap)
+        return
+    assert visits_from_table(table, track, cps, ctx, max_gap) == want
+
+
+def test_lookup_tie_and_bound_cases():
+    """Halfway takes the earlier sample, a gap equal to max_gap is kept, and
+    an unknown id after a skipped visit still raises."""
+    ctx = _ctx()
+    cps = [_cp_at_enu(ctx, "CP1", 0.0, 0.0, 0.0)]
+    track = _track([0.0, 0.5, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                     [2.0, 0.0, 0.0]])
+    assert pose_at(track, 0.25, max_gap=0.25)[0] == 0.0
+    assert pose_at(track, 0.75, max_gap=0.25)[0] == 1.0
+    assert pose_at(track, 1.25, max_gap=0.25)[0] == 2.0
+    assert pose_at(track, -0.25, max_gap=0.25)[0] == 0.0
+    table = VisitTable("seq", "slam", [CheckpointVisit("CP1", 1.25, cps[0].coord, 0.0),
+                                       CheckpointVisit("CP1", 9.0, cps[0].coord, 0.0)])
+    visits, skipped = visits_from_table(table, track, cps, ctx, max_gap=0.25)
+    assert [v.t_rep for v in visits] == [1.25]
+    assert skipped == ["CP1@9.000: nearest sample is 8.000 s from t=9.000 "
+                       "(limit 0.25 s)"]
+    table.visits.append(CheckpointVisit("GHOST", 0.5, cps[0].coord, 0.0))
+    with pytest.raises(UnknownCheckpoint, match="GHOST"):
         visits_from_table(table, track, cps, ctx)
+    assert visits_from_table(VisitTable("seq", "slam", []), track, cps, ctx) == ([], [])
+    assert match_visits([], cps, ctx).visits == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_visits_from_table_rejects_non_finite_times(bad):
+    ctx = _ctx()
+    cps = [_cp_at_enu(ctx, "CP1", 0.0, 0.0, 0.0)]
+    table = VisitTable("seq", "slam", [CheckpointVisit("CP1", bad, cps[0].coord, 0.0)])
+    with pytest.raises(SchemaMismatch, match="non-finite"):
+        visits_from_table(table, _track([0.0, 1.0], [[0.0, 0.0, 0.0]] * 2), cps, ctx)
 
 
 def _sample_table(ctx) -> VisitTable:
@@ -363,6 +509,22 @@ def test_import_rejects_bad_documents():
     doc = export_visit_table(table).replace('"t_rep"', '"when"')
     with pytest.raises(SchemaMismatch):
         import_visit_table(doc.encode())
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_import_rejects_non_finite_numbers(token):
+    text = export_visit_table(_sample_table(_ctx())).replace('"t_rep": 12.375',
+                                                           f'"t_rep": {token}')
+    assert token in text
+    with pytest.raises(SchemaMismatch, match="non-finite"):
+        import_visit_table(text.encode())
+
+
+def test_export_refuses_non_finite_numbers():
+    table = _sample_table(_ctx())
+    table.visits[0] = CheckpointVisit("CP01", float("nan"), table.visits[0].p_est, 0.0)
+    with pytest.raises(ValueError):
+        export_visit_table(table)
 
 
 def test_import_from_path(tmp_path):

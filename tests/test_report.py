@@ -12,6 +12,7 @@ from geotraj.report import (
     evaluate_run,
     format_summary_table,
     report_to_dict,
+    write_report,
 )
 from geotraj.synth import ScenarioSpec, generate, write_scenario
 from geotraj.trajectory_io import DeviceCalibration
@@ -134,3 +135,12 @@ def test_report_dict_rounds_meters_but_not_gap(tmp_path):
     assert summary["rmse_absolute_m"] == round(summary["rmse_absolute_m"], 6)
     assert isinstance(summary["gap_percent_rounded"], int)
     assert summary["gap_percent"] == report.methods[0].summary.gap_percent
+
+
+def test_write_report_refuses_non_finite_numbers(tmp_path):
+    from geotraj.drift import DriftFit
+
+    report = evaluate_run(load_run_config(_bundle(tmp_path / "in") / "run.json"))
+    report.methods[0].fit_time = DriftFit(0.02, float("nan"), 4)
+    with pytest.raises(ValueError):
+        write_report(report, tmp_path / "out")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geotraj import synth
-from oracles import position_at_reference, random_walk_reference
+from oracles import (expected_nearest_reference, position_at_reference,
+                     random_walk_reference)
 
 from geotraj.errors import InvalidSpec
 from geotraj.geodesy import UtmCoord, utm_to_geodetic
@@ -183,6 +184,44 @@ def test_positions_at_matches_per_time_loop(seed, n_seg):
     assert got.tobytes() == want.tobytes()
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+       n_visits=st.integers(0, 30), clock=st.sampled_from([0.0, 1.7e9]),
+       rate=st.sampled_from([10.0, 100.0, 3.0]))
+@settings(max_examples=100, deadline=None)
+def test_visit_samples_match_per_visit_scans(seed, n, n_visits, clock, rate):
+    """Dwell midpoints on samples, halfway between them and off the track's
+    ends; 1 Hz fixes with gaps, on a path with still stretches."""
+    rng = np.random.default_rng(seed)
+    t = clock + np.arange(n) / rate
+    steps = rng.uniform(0.0, 1.0, size=n - 1) * (rng.random(n - 1) < 0.5)
+    cum = np.concatenate([[0.0], np.cumsum(steps)])
+    secs = clock + np.arange(np.floor((t[-1] - clock) + 3.0))
+    fix_times = secs[rng.random(len(secs)) < 0.7]
+    if not fix_times.size:
+        fix_times = secs[:1]
+    cands = np.concatenate([t, 0.5 * (t[1:] + t[:-1]), [t[0] - 0.5, t[-1] + 0.5],
+                            rng.uniform(t[0], t[-1], size=n)])
+    visit_t = rng.choice(cands, size=n_visits)
+    got = synth._visit_samples(t, visit_t, fix_times, cum)
+    want = expected_nearest_reference(t, visit_t, fix_times, cum)
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
+
+
+def test_expected_metrics_match_per_visit_scans_on_a_scenario():
+    sc = generate(_line_spec(outage_windows=[(20.0, 50.0)], drift_rate=0.05,
+                             noise_sigma=0.01, sample_rate_hz=100.0))
+    fix_times = np.array([r.t for r in sc.rtk.records if r.status is GnssStatus.RTK_FIX])
+    steps = np.linalg.norm(np.diff(sc.truth_utm, axis=0), axis=1)
+    k_idx, dt_s, dx_m = expected_nearest_reference(
+        sc.t, sc.expected.visit_t, fix_times, np.concatenate([[0.0], np.cumsum(steps)]))
+    em = sc.expected
+    assert em.dt_s.tolist() == dt_s.tolist() and em.dx_m.tolist() == dx_m.tolist()
+    ref = np.array([w.waypoint for w in sc.dwell_windows])
+    assert em.eps_m.tolist() == np.linalg.norm(sc.estimate_utm[k_idx] - ref,
+                                               axis=1).tolist()
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
        windows=st.lists(st.tuples(st.integers(1, 100), st.integers(1, 50),
                                   st.sampled_from([0.0, 0.05])), max_size=4))
@@ -220,7 +259,7 @@ def test_pipeline_matches_generator_oracle_bias_only():
     table = match_visits(dwells, sc.checkpoints, sc.context, gate_radius=2.0,
                          sequence_id="t", generator_method="truth")
     est_track = apply_lever_arm(sc.estimate, np.zeros(3))
-    visits = visits_from_table(table, est_track, sc.checkpoints, sc.context)
+    visits, _ = visits_from_table(table, est_track, sc.checkpoints, sc.context)
     summary, _, _ = summarize(visits, sc.checkpoints)
     em = sc.expected
     assert summary.rmse_absolute == pytest.approx(em.summary.rmse_absolute,
