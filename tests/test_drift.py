@@ -220,3 +220,25 @@ def test_outage_coordinates_match_reference(seed, n, n_rec, n_visits, epoch, shu
     got = outage_coordinates(track, log, visits)
     assert [(c.checkpoint_id, c.dt_nearest_fix, c.dx_nearest_fix) for c in got] == \
         outage_coordinates_reference(track, log, visits)
+
+
+def test_outage_coordinates_where_interpolated_arc_length_dips():
+    """``np.interp`` one ulp before a sample can round above the sample's own
+    arc length, so the fixes' arc lengths are not sorted; the nearest fix is
+    still the one at zero distance."""
+    from oracles import outage_coordinates_reference
+
+    rng = np.random.default_rng(697)
+    t = np.cumsum(rng.uniform(0.01, 1.0, size=6))
+    p = np.zeros((6, 3))
+    p[:, 0] = np.cumsum(rng.uniform(0.0, 1e3, size=6))
+    track = BaseCenterTrack(t, p)
+    fix = np.sort(np.concatenate([t, np.nextafter(t, -np.inf)]))
+    arc = np.interp(fix, t, np.concatenate([[0.0], np.cumsum(np.diff(p[:, 0]))]))
+    assert np.any(np.diff(arc) < 0)
+    log = _log([(f, GnssStatus.RTK_FIX) for f in fix])
+    visits = [_visit(f"CP{k}", f) for k, f in enumerate(fix)]
+    got = outage_coordinates(track, log, visits)
+    assert [(c.checkpoint_id, c.dt_nearest_fix, c.dx_nearest_fix) for c in got] == \
+        outage_coordinates_reference(track, log, visits)
+    assert all(c.dx_nearest_fix == 0.0 for c in got)

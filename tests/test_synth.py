@@ -208,6 +208,20 @@ def test_visit_samples_match_per_visit_scans(seed, n, n_visits, clock, rate):
         assert g.tolist() == w.tolist()
 
 
+def test_visit_samples_where_interpolated_arc_length_dips():
+    """One ulp before a sample, ``np.interp`` rounds above the sample's own
+    arc length: the fixes' arc lengths are out of order by one ulp."""
+    t = np.array([0.044057306595985224, 0.8653395054234392, 0.9453169828594086])
+    cum = np.array([0.0, 912.2465640729142, 1742.3054403999754])
+    fix_times = np.array([np.nextafter(t[1], -np.inf), t[1]])
+    assert np.diff(np.interp(fix_times, t, cum))[0] < 0
+    got = synth._visit_samples(t, fix_times, fix_times, cum)
+    want = expected_nearest_reference(t, fix_times, fix_times, cum)
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
+    assert got[2].tolist() == [0.0, 0.0]
+
+
 def test_expected_metrics_match_per_visit_scans_on_a_scenario():
     sc = generate(_line_spec(outage_windows=[(20.0, 50.0)], drift_rate=0.05,
                              noise_sigma=0.01, sample_rate_hz=100.0))
