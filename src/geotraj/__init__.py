@@ -25,6 +25,6 @@ from .metrics import (AccuracySummary, CheckpointError, absolute_rmse,
                       aligned_rmse, alignment_gap, checkpoint_errors, summarize)
 from .synth import Scenario, ScenarioSpec, expected_metrics, generate
 from .trajectory_io import (Checkpoint, DeviceCalibration, GnssStatus, RtkLog,
-                            RtkRecord, Trajectory, first_rtk_fix,
-                            parse_checkpoints, parse_rtk_log, parse_trajectory,
-                            write_checkpoints, write_rtk_log, write_trajectory)
+                            Trajectory, first_rtk_fix, parse_checkpoints,
+                            parse_rtk_log, parse_trajectory, write_checkpoints,
+                            write_rtk_log, write_trajectory)

@@ -49,10 +49,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.R.T, -self.R.T @ self.t)
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self @ other)(p) = self(other(p))."""
-        return RigidTransform(self.R @ other.R, self.R @ other.t + self.t)
-
 
 def svd_3x3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decompose M = U @ diag(S) @ V.T, S sorted descending, U/V orthogonal."""

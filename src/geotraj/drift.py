@@ -68,7 +68,7 @@ def outage_coordinates(track: BaseCenterTrack, log: RtkLog,
                        visits: Sequence[CheckpointVisit],
                        min_status: GnssStatus = GnssStatus.RTK_FIX
                        ) -> list[OutageCoordinate]:
-    fix_times = np.array([rec.t for rec in log.records if rec.status >= min_status])
+    fix_times = log.t[log.status >= min_status]
     if fix_times.size == 0:
         raise NoFixAvailable("RTK log contains no record at or above "
                              f"{min_status.name}")

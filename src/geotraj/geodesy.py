@@ -8,7 +8,9 @@ is meant to be used.
 
 All functions are pure; the scalar API wraps vectorized cores (the ``*_arrays``
 helpers) that the synthetic generator and report rendering use on whole
-tracks.
+tracks. The cores square and cube by multiplying: on a numpy scalar ``**``
+calls libm ``pow``, which can round differently from ``x * x`` and from the
+array loops, so one point would not get the bits it gets in a batch.
 """
 
 from __future__ import annotations
@@ -84,16 +86,40 @@ class GeodeticCoord:
     h: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon) and math.isfinite(self.h)):
+        self.validate(self.lat, self.lon, self.h)
+        lat, lon = self.normalize(self.lat, self.lon)
+        object.__setattr__(self, "lat", float(lat))
+        object.__setattr__(self, "lon", float(lon))
+
+    @staticmethod
+    def validate(lat: float, lon: float, h: float) -> None:
+        """Raise ValueError for values the constructor rejects."""
+        if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(h)):
             raise ValueError("non-finite geodetic coordinate")
-        if abs(self.lat) > math.pi / 2 + 1e-12:
-            raise ValueError(f"latitude {self.lat} outside [-pi/2, pi/2]")
-        object.__setattr__(self, "lat", min(max(self.lat, -math.pi / 2), math.pi / 2))
-        object.__setattr__(self, "lon", float(_wrap_longitude(self.lon)))
+        if abs(lat) > math.pi / 2 + 1e-12:
+            raise ValueError(f"latitude {lat} outside [-pi/2, pi/2]")
+
+    @staticmethod
+    def normalize(lat, lon):
+        """The latitude clamped to [-pi/2, pi/2] and the longitude wrapped
+        into (-pi, pi], elementwise on arrays. The wrap rounds, so a batch
+        must apply it to give the constructor's bits, and applying it twice
+        need not be a no-op."""
+        return np.clip(lat, -math.pi / 2, math.pi / 2), _wrap_longitude(lon)
 
     @classmethod
     def from_degrees(cls, lat_deg: float, lon_deg: float, h: float) -> "GeodeticCoord":
         return cls(math.radians(lat_deg), math.radians(lon_deg), h)
+
+    @classmethod
+    def from_normalized(cls, lat: float, lon: float, h: float) -> "GeodeticCoord":
+        """A coordinate whose latitude is clamped and longitude wrapped
+        already, kept bit for bit instead of wrapped a second time."""
+        cls.validate(lat, lon, h)
+        g = object.__new__(cls)
+        for name, value in (("lat", lat), ("lon", lon), ("h", h)):
+            object.__setattr__(g, name, float(value))
+        return g
 
     @property
     def lat_deg(self) -> float:
@@ -162,7 +188,7 @@ def _central_meridian(zone: int) -> float:
 def _ecef_from_geodetic_arrays(lat, lon, h, ell: Ellipsoid):
     sin_lat = np.sin(lat)
     cos_lat = np.cos(lat)
-    nu = ell.a / np.sqrt(1.0 - ell.e2 * sin_lat ** 2)
+    nu = ell.a / np.sqrt(1.0 - ell.e2 * (sin_lat * sin_lat))
     x = (nu + h) * cos_lat * np.cos(lon)
     y = (nu + h) * cos_lat * np.sin(lon)
     z = (nu * (1.0 - ell.e2) + h) * sin_lat
@@ -192,14 +218,16 @@ def _geodetic_from_ecef_arrays(x, y, z, ell: Ellipsoid):
 
     # Bowring's parametric-latitude seed.
     u = np.arctan2(z * ell.a, p * ell.b)
-    lat = np.arctan2(z + ell.ep2 * ell.b * np.sin(u) ** 3,
-                     p - ell.e2 * ell.a * np.cos(u) ** 3)
+    sin_u = np.sin(u)
+    cos_u = np.cos(u)
+    lat = np.arctan2(z + ell.ep2 * ell.b * (sin_u * sin_u * sin_u),
+                     p - ell.e2 * ell.a * (cos_u * cos_u * cos_u))
     h = np.zeros_like(lat)
     active = np.ones(np.shape(lat), dtype=bool)
     for _ in range(_ECEF_MAX_ITER):
         sin_lat = np.sin(lat)
         cos_lat = np.cos(lat)
-        nu = ell.a / np.sqrt(1.0 - ell.e2 * sin_lat ** 2)
+        nu = ell.a / np.sqrt(1.0 - ell.e2 * (sin_lat * sin_lat))
         # Height from the dominant trigonometric branch (stable at the poles).
         h_new = np.where(np.abs(cos_lat) > 1e-10,
                          p / np.where(np.abs(cos_lat) > 1e-10, cos_lat, 1.0) - nu,
@@ -249,13 +277,16 @@ def _geodetic_from_enu_arrays(enu, origin: EnuOrigin, ell: Ellipsoid):
     return _geodetic_from_ecef_arrays(ecef[..., 0], ecef[..., 1], ecef[..., 2], ell)
 
 
-def _enu_from_geodetic_arrays(lat, lon, h, origin: EnuOrigin, ell: Ellipsoid):
-    rot = _enu_rotation(origin.origin)
+def _ecef_delta(lat, lon, h, origin: EnuOrigin, ell: Ellipsoid):
+    """(..., 3) ECEF offsets of geodetic points from the origin."""
     x0, y0, z0 = _ecef_from_geodetic_arrays(
         origin.origin.lat, origin.origin.lon, origin.origin.h, ell)
     x, y, z = _ecef_from_geodetic_arrays(lat, lon, h, ell)
-    delta = np.stack([x - x0, y - y0, z - z0], axis=-1)
-    return delta @ rot.T
+    return np.stack([x - x0, y - y0, z - z0], axis=-1)
+
+
+def _enu_from_geodetic_arrays(lat, lon, h, origin: EnuOrigin, ell: Ellipsoid):
+    return _ecef_delta(lat, lon, h, origin, ell) @ _enu_rotation(origin.origin).T
 
 
 def enu_to_geodetic(p: EnuCoord, origin: EnuOrigin, ell: Ellipsoid = GRS80) -> GeodeticCoord:
@@ -316,8 +347,8 @@ def _utm_from_geodetic_arrays(lat, lon, zone: int, ell: Ellipsoid):
                       np.cos(lon - _central_meridian(zone)))
 
     tau = np.tan(lat)
-    sigma = np.sinh(e * np.arctanh(e * tau / np.sqrt(1.0 + tau ** 2)))
-    taup = tau * np.sqrt(1.0 + sigma ** 2) - sigma * np.sqrt(1.0 + tau ** 2)
+    sigma = np.sinh(e * np.arctanh(e * tau / np.sqrt(1.0 + tau * tau)))
+    taup = tau * np.sqrt(1.0 + sigma * sigma) - sigma * np.sqrt(1.0 + tau * tau)
 
     xi_p = np.arctan2(taup, np.cos(dlam))
     eta_p = np.arcsinh(np.sin(dlam) / np.hypot(taup, np.cos(dlam)))
@@ -340,10 +371,10 @@ def _tau_from_taup(taup, e2: float):
     e2m = 1.0 - e2
     tau = taup / e2m
     for _ in range(6):
-        sigma = np.sinh(e * np.arctanh(e * tau / np.sqrt(1.0 + tau ** 2)))
-        taupa = tau * np.sqrt(1.0 + sigma ** 2) - sigma * np.sqrt(1.0 + tau ** 2)
-        tau = tau + (taup - taupa) * (1.0 + e2m * tau ** 2) / (
-            e2m * np.sqrt(1.0 + tau ** 2) * np.sqrt(1.0 + taupa ** 2))
+        sigma = np.sinh(e * np.arctanh(e * tau / np.sqrt(1.0 + tau * tau)))
+        taupa = tau * np.sqrt(1.0 + sigma * sigma) - sigma * np.sqrt(1.0 + tau * tau)
+        tau = tau + (taup - taupa) * (1.0 + e2m * (tau * tau)) / (
+            e2m * np.sqrt(1.0 + tau * tau) * np.sqrt(1.0 + taupa * taupa))
     return tau
 
 
@@ -363,7 +394,8 @@ def _geodetic_from_utm_arrays(easting, northing, zone: int, northern, ell: Ellip
         xi_p = xi_p - beta[j - 1] * np.sin(2 * j * xi) * np.cosh(2 * j * eta)
         eta_p = eta_p - beta[j - 1] * np.cos(2 * j * xi) * np.sinh(2 * j * eta)
 
-    taup = np.sin(xi_p) / np.sqrt(np.sinh(eta_p) ** 2 + np.cos(xi_p) ** 2)
+    sinh_eta, cos_xi = np.sinh(eta_p), np.cos(xi_p)
+    taup = np.sin(xi_p) / np.sqrt(sinh_eta * sinh_eta + cos_xi * cos_xi)
     lat = np.arctan(_tau_from_taup(taup, ell.e2))
     lon = _central_meridian(zone) + np.arctan2(np.sinh(eta_p), np.cos(xi_p))
     return lat, lon
@@ -432,13 +464,16 @@ class GeoContext:
         g = utm_to_geodetic(u, self.ellipsoid)
         return geodetic_to_enu(g, self.origin, self.ellipsoid)
 
+    def enu_to_geodetic_rows(self, pts: np.ndarray):
+        """``enu_to_geodetic`` of each row of an (N, 3) ENU array, in one
+        batch: latitude, longitude and height arrays."""
+        lat, lon, h = _geodetic_from_enu_arrays(pts, self.origin, self.ellipsoid)
+        return (*GeodeticCoord.normalize(lat, lon), h)
+
     def _enu_to_utm_arrays(self, pts):
         """Easting, northing, height and latitude of (N, 3) ENU points, each
         row as ``enu_to_utm`` computes it for that point alone."""
-        lat, lon, h = _geodetic_from_enu_arrays(pts, self.origin, self.ellipsoid)
-        # GeodeticCoord clamps and wraps, and the wrap rounds: do the same.
-        lat = np.clip(lat, -math.pi / 2, math.pi / 2)
-        lon = _wrap_longitude(lon)
+        lat, lon, h = self.enu_to_geodetic_rows(pts)
         _check_utm_domain(lat, lon, self.zone)
         easting, northing = _utm_from_geodetic_arrays(lat, lon, self.zone, self.ellipsoid)
         return easting, northing, h, lat
@@ -458,10 +493,46 @@ class GeoContext:
                 for e, n, u, la in zip(easting.tolist(), northing.tolist(),
                                        h.tolist(), lat.tolist())]
 
+    def utm_to_geodetic_rows(self, pts: np.ndarray):
+        """``utm_to_geodetic`` of each row of (N, 3) easting/northing/height
+        in this zone and hemisphere, in one batch: latitude, longitude and
+        height arrays.
+
+        Raises OutOfDomain for the first row outside the UTM domain.
+        """
+        pts = np.asarray(pts, dtype=float)
+        easting = pts[:, 0]
+        far = np.abs(easting - UTM_FALSE_EASTING) > 1_200_000.0
+        lat, lon = _geodetic_from_utm_arrays(easting, pts[:, 1], self.zone,
+                                             self.hemisphere == "north", self.ellipsoid)
+        bad = far | (np.abs(lat) >= UTM_LAT_LIMIT_RAD)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if far[k]:
+                raise OutOfDomain(f"easting {float(easting[k])} too far from the "
+                                  "central meridian")
+            raise OutOfDomain("inverse projection left the UTM latitude domain")
+        return (*GeodeticCoord.normalize(lat, lon), pts[:, 2])
+
+    def utm_to_enu_rows(self, pts: np.ndarray) -> np.ndarray:
+        """``utm_to_enu`` of each row of (N, 3) easting/northing/height, in
+        one batch.
+
+        Raises OutOfDomain for the first row outside the UTM domain.
+        """
+        delta = _ecef_delta(*self.utm_to_geodetic_rows(pts), self.origin, self.ellipsoid)
+        # Row by row as (1, 3) @ (3, 3), as the scalar path multiplies.
+        return (delta[:, None, :] @ _enu_rotation(self.origin.origin).T)[:, 0, :]
+
+    def geodetic_to_enu_batch(self, lat, lon, h) -> np.ndarray:
+        """Latitude, longitude (radians) and height arrays -> (N, 3) ENU, as
+        one (N, 3) @ (3, 3) product."""
+        return _enu_from_geodetic_arrays(lat, lon, h, self.origin, self.ellipsoid)
+
     def utm_to_enu_batch(self, pts: np.ndarray) -> np.ndarray:
         """(N, 3) easting/northing/height -> (N, 3) ENU."""
         pts = np.asarray(pts, dtype=float)
         lat, lon = _geodetic_from_utm_arrays(
             pts[..., 0], pts[..., 1], self.zone, self.hemisphere == "north",
             self.ellipsoid)
-        return _enu_from_geodetic_arrays(lat, lon, pts[..., 2], self.origin, self.ellipsoid)
+        return self.geodetic_to_enu_batch(lat, lon, pts[..., 2])

@@ -69,7 +69,7 @@ class EvaluationReport:
     checkpoints: list = field(default_factory=list)
 
 
-def _rtk_standalone_track(log_records, ctx: GeoContext, calibration) -> BaseCenterTrack:
+def _rtk_standalone_track(rtk: RtkLog, ctx: GeoContext, calibration) -> BaseCenterTrack:
     """Base-center track from the receiver alone.
 
     Without an orientation estimate the antenna-to-base lever arm cannot be
@@ -77,15 +77,10 @@ def _rtk_standalone_track(log_records, ctx: GeoContext, calibration) -> BaseCent
     body-frame offset is applied unrotated. Only records with a position
     solution contribute.
     """
-    usable = [r for r in log_records if r.status > GnssStatus.NONE]
-    t = np.array([r.t for r in usable])
-    lat = np.array([r.g.lat for r in usable])
-    lon = np.array([r.g.lon for r in usable])
-    h = np.array([r.g.h for r in usable])
-    from .geodesy import _enu_from_geodetic_arrays
-    antenna_enu = _enu_from_geodetic_arrays(lat, lon, h, ctx.origin, ctx.ellipsoid)
+    usable = rtk.status > GnssStatus.NONE
+    antenna_enu = ctx.geodetic_to_enu_batch(rtk.lat[usable], rtk.lon[usable], rtk.h[usable])
     offset = calibration.t_imu_to_base - calibration.t_imu_to_antenna
-    return BaseCenterTrack(t, antenna_enu + offset)
+    return BaseCenterTrack(rtk.t[usable], antenna_enu + offset)
 
 
 def load_survey(config: RunConfig) -> tuple[list[Checkpoint], RtkLog, GeoContext]:
@@ -119,8 +114,7 @@ def evaluate_run(config: RunConfig) -> EvaluationReport:
         traj = parse_trajectory(method.trajectory)
         tracks[method.label] = apply_lever_arm(traj, config.calibration.t_imu_to_base)
     if config.include_rtk_method:
-        tracks[RTK_METHOD_LABEL] = _rtk_standalone_track(rtk.records, ctx,
-                                                         config.calibration)
+        tracks[RTK_METHOD_LABEL] = _rtk_standalone_track(rtk, ctx, config.calibration)
 
     th = config.thresholds
     if config.visit_table is not None:
@@ -134,9 +128,9 @@ def evaluate_run(config: RunConfig) -> EvaluationReport:
         warnings.append("checkpoints never visited: "
                         + ", ".join(table.unvisited_checkpoints))
 
-    fix_count = sum(1 for r in rtk.records if r.status is GnssStatus.RTK_FIX)
-    if rtk.records and fix_count < 0.5 * len(rtk.records):
-        warnings.append(f"low fix coverage: {fix_count}/{len(rtk.records)} records")
+    fix_count = int(np.count_nonzero(rtk.status == GnssStatus.RTK_FIX))
+    if len(rtk) and fix_count < 0.5 * len(rtk):
+        warnings.append(f"low fix coverage: {fix_count}/{len(rtk)} records")
 
     results: list[MethodResult] = []
     for label, track in tracks.items():

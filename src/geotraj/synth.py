@@ -32,12 +32,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidSpec
-from .geodesy import (EnuCoord, EnuOrigin, GeoContext, GeodeticCoord, UtmCoord,
-                      enu_to_geodetic, geodetic_to_utm, utm_to_geodetic)
-from .lever_arm import BaseCenterTrack
+from .geodesy import (EnuOrigin, GeoContext, GeodeticCoord, UtmCoord, geodetic_to_utm,
+                      utm_to_geodetic)
 from .metrics import AccuracySummary
 from .trajectory_io import (Checkpoint, DeviceCalibration, GnssStatus, RtkLog,
-                            RtkRecord, Trajectory)
+                            Trajectory)
 
 PRNG_ALGORITHM = "pcg64"
 
@@ -192,6 +191,10 @@ def _validate(spec: ScenarioSpec) -> None:
         raise InvalidSpec("waypoints must be an (M>=2, 3) array of UTM E/N/h")
     if not np.all(np.isfinite(wp)):
         raise InvalidSpec("waypoints contain non-finite values")
+    outside = (wp[:, 0] <= 0.0) | (wp[:, 0] >= 1_000_000.0)
+    if outside.any():
+        raise InvalidSpec(f"waypoint {int(np.argmax(outside))} has easting "
+                          f"{float(wp[outside][0, 0])!r} outside (0, 1e6)")
     if len(spec.dwells) != wp.shape[0]:
         raise InvalidSpec(f"dwells list must pair with waypoints: "
                           f"{len(spec.dwells)} vs {wp.shape[0]} entries "
@@ -325,33 +328,27 @@ def generate(spec: ScenarioSpec) -> Scenario:
     calib = spec.calibration if spec.calibration is not None else DeviceCalibration.zero()
     d_antenna = calib.t_imu_to_antenna - calib.t_imu_to_base
 
-    # RTK records carry the antenna position. The pipeline will anchor its
-    # local frame at the first fix, so replicate that exact chain here: the
-    # origin is the t=0 record's coordinates after one write/parse round trip
-    # through degrees.
+    # RTK records carry the antenna position: the base point in the ENU frame
+    # of the t=0 base point, shifted by the lever arm. Each row gets the bits
+    # of the scalar utm_to_enu/enu_to_geodetic chain.
     provisional = GeoContext(EnuOrigin(utm_to_geodetic(
         UtmCoord(*map(float, truth_utm[0]), spec.zone, hemisphere))), spec.zone, hemisphere)
-
-    def antenna_geodetic(base_utm_pt: np.ndarray) -> GeodeticCoord:
-        u = UtmCoord(float(base_utm_pt[0]), float(base_utm_pt[1]),
-                     float(base_utm_pt[2]), spec.zone, hemisphere)
-        if not np.any(d_antenna):
-            return utm_to_geodetic(u)
-        e = provisional.utm_to_enu(u)
-        return enu_to_geodetic(EnuCoord(e.e + d_antenna[0], e.n + d_antenna[1],
-                                        e.u + d_antenna[2]), provisional.origin)
-
     n_sec = int(math.floor(total / (1.0 / RTK_RATE_HZ) + 1e-9)) + 1
     ts = np.arange(n_sec) / RTK_RATE_HZ
-    outage = _outage_mask(ts, spec.outage_windows)
-    records = [RtkRecord(t_i, antenna_geodetic(base_pt),
-                         GnssStatus.NONE if out else GnssStatus.RTK_FIX)
-               for t_i, base_pt, out in zip(ts.tolist(), _positions_at(segments, ts),
-                                            outage.tolist())]
-    rtk = RtkLog(records)
+    base = _positions_at(segments, ts)
+    if np.any(d_antenna):
+        lat, lon, h = provisional.enu_to_geodetic_rows(
+            provisional.utm_to_enu_rows(base) + d_antenna)
+    else:
+        lat, lon, h = provisional.utm_to_geodetic_rows(base)
+    status = np.where(_outage_mask(ts, spec.outage_windows),
+                      GnssStatus.NONE, GnssStatus.RTK_FIX).astype(np.int8)
+    rtk = RtkLog(ts, lat, lon, h, status)
 
-    first = records[0].g
-    origin = GeodeticCoord.from_degrees(first.lat_deg, first.lon_deg, first.h)
+    # The pipeline anchors its local frame at the first fix: the t=0
+    # record's coordinates after one write/parse round trip through degrees.
+    origin = GeodeticCoord.from_degrees(math.degrees(lat[0]), math.degrees(lon[0]),
+                                        float(h[0]))
     ctx = GeoContext(EnuOrigin(origin), spec.zone, hemisphere)
 
     truth_enu = ctx.utm_to_enu_batch(truth_utm)
@@ -450,8 +447,7 @@ def expected_metrics(scenario: Scenario, eps0: float = 0.02) -> ExpectedMetrics:
     ids = [w.checkpoint_id for w in scenario.dwell_windows]
     vt_arr = np.array([w.t_mid for w in scenario.dwell_windows], dtype=float)
     # Outage coordinates against the analytic fix grid and the truth path.
-    fix_times = np.array([r.t for r in scenario.rtk.records
-                          if r.status is GnssStatus.RTK_FIX])
+    fix_times = scenario.rtk.t[scenario.rtk.status == GnssStatus.RTK_FIX]
     steps = np.linalg.norm(np.diff(scenario.truth_utm, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     k_idx, dt_s, dx_m = _visit_samples(t, vt_arr, fix_times, cum)
@@ -496,12 +492,6 @@ def expected_metrics(scenario: Scenario, eps0: float = 0.02) -> ExpectedMetrics:
 
     return ExpectedMetrics(summary, eps0, ids, vt_arr, dt_s, dx_m, eps_norm,
                            eps_mean, alpha_realized, alpha_expected)
-
-
-def base_center_truth(scenario: Scenario) -> BaseCenterTrack:
-    """Truth base-center track in ENU, for table building or overlays."""
-    ctx = scenario.context
-    return BaseCenterTrack(scenario.t, ctx.utm_to_enu_batch(scenario.truth_utm))
 
 
 def write_scenario(scenario: Scenario, outdir: Path | str,

@@ -115,15 +115,19 @@ class Checkpoint:
 
 
 @dataclass(eq=False)
-class RtkRecord:
-    t: float
-    g: GeodeticCoord
-    status: GnssStatus
-
-
-@dataclass(eq=False)
 class RtkLog:
-    records: list[RtkRecord]
+    """The receiver log as (N,) columns: time, latitude and longitude in
+    radians (clamped and wrapped as ``GeodeticCoord`` leaves them),
+    ellipsoidal height, and ``GnssStatus`` values."""
+
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    h: np.ndarray
+    status: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(eq=False)
@@ -334,7 +338,11 @@ def write_checkpoints(checkpoints: Sequence[Checkpoint], sink: Union[str, Path, 
 
 
 def parse_rtk_log(source: Source) -> RtkLog:
-    records: list[RtkRecord] = []
+    ts: list[float] = []
+    lats: list[float] = []
+    lons: list[float] = []
+    hs: list[float] = []
+    statuses: list[int] = []
     prev_t = None
     for line_no, fields in _csv_rows(source, ["t", "lat_deg", "lon_deg", "height", "status"],
                                      "RTK log"):
@@ -346,26 +354,40 @@ def parse_rtk_log(source: Source) -> RtkLog:
         if prev_t is not None and t < prev_t:
             raise NonMonotonicTimestamp(line_no)
         prev_t = t
+        lat, lon = math.radians(lat), math.radians(lon)
         try:
-            g = GeodeticCoord.from_degrees(lat, lon, height)
+            GeodeticCoord.validate(lat, lon, height)
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
-        records.append(RtkRecord(t, g, _TOKEN_TO_STATUS[token]))
-    return RtkLog(records)
+        ts.append(t)
+        lats.append(lat)
+        lons.append(lon)
+        hs.append(height)
+        statuses.append(_TOKEN_TO_STATUS[token])
+    lat_col, lon_col = GeodeticCoord.normalize(np.array(lats, dtype=float),
+                                               np.array(lons, dtype=float))
+    return RtkLog(np.array(ts, dtype=float), lat_col, lon_col, np.array(hs, dtype=float),
+                  np.array(statuses, dtype=np.int8))
+
+
+_RTK_ROW = "%r,%r,%r,%r,%s\n"
 
 
 def write_rtk_log(log: RtkLog, sink: Union[str, Path, IO]) -> None:
-    rows = [f"{rec.t!r},{rec.g.lat_deg!r},{rec.g.lon_deg!r},{rec.g.h!r},{rec.status.token}\n"
-            for rec in log.records]
-    _write_text(sink, "t,lat_deg,lon_deg,height,status\n" + "".join(rows))
+    """One line per record, every float written with ``repr``."""
+    cols = zip(log.t.tolist(), np.degrees(log.lat).tolist(), np.degrees(log.lon).tolist(),
+               log.h.tolist(), [_STATUS_TO_TOKEN[s] for s in log.status.tolist()])
+    body = (_RTK_ROW * len(log)) % tuple(v for row in cols for v in row)
+    _write_text(sink, "t,lat_deg,lon_deg,height,status\n" + body)
 
 
 def first_rtk_fix(log: RtkLog) -> EnuOrigin:
     """World origin from the earliest RTK_FIX record."""
-    for rec in log.records:
-        if rec.status is GnssStatus.RTK_FIX:
-            return EnuOrigin(rec.g)
-    raise NoFixAvailable("RTK log contains no FIX record")
+    fixes = np.flatnonzero(log.status == GnssStatus.RTK_FIX)
+    if not fixes.size:
+        raise NoFixAvailable("RTK log contains no FIX record")
+    k = fixes[0]
+    return EnuOrigin(GeodeticCoord.from_normalized(log.lat[k], log.lon[k], log.h[k]))
 
 
 def _write_text(sink: Union[str, Path, IO], text: str) -> None:

@@ -26,6 +26,10 @@ package under test:
   one scalar geodesy call, one ``np.linalg.norm`` and one full ``argmin`` or
   ``np.min`` scan per dwell or visit; ``matching``, ``drift`` and the
   ``synth`` oracle must reproduce them bit for bit.
+* RTK receiver log: the original per-record chain of scalar geodesy calls
+  and ``GeodeticCoord`` objects that built the synthetic log, the
+  per-record parser and the per-record writer; ``synth`` and
+  ``trajectory_io`` must reproduce them bit for bit.
 
 Run as a script to print the frozen fixture values.
 """
@@ -35,8 +39,12 @@ import math
 import mpmath as mp
 import numpy as np
 
-from geotraj.errors import LookupGapExceeded, NoCheckpoints, UnknownCheckpoint
-from geotraj.geodesy import EnuCoord
+from geotraj import trajectory_io
+from geotraj.errors import (LookupGapExceeded, MalformedLine, NoCheckpoints,
+                            NonMonotonicTimestamp, UnknownCheckpoint,
+                            UnknownStatus)
+from geotraj.geodesy import (EnuCoord, EnuOrigin, GeoContext, GeodeticCoord,
+                             UtmCoord, enu_to_geodetic, utm_to_geodetic)
 from geotraj.matching import CheckpointVisit, DwellSegment, VisitTable
 from geotraj.trajectory_io import GnssStatus
 
@@ -279,7 +287,8 @@ def visits_from_table_reference(table, track, cps, ctx, max_gap=0.2):
 def outage_coordinates_reference(track, log, visits,
                                  min_status=GnssStatus.RTK_FIX):
     """(checkpoint id, dt, dx) per visit, each a full scan over the fixes."""
-    fix_times = np.array([rec.t for rec in log.records if rec.status >= min_status])
+    fix_times = np.array([t for t, status in zip(log.t.tolist(), log.status.tolist())
+                          if status >= min_status])
     steps = np.linalg.norm(np.diff(track.p, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     fix_s = np.interp(fix_times, track.t, cum)
@@ -301,6 +310,69 @@ def expected_nearest_reference(t, visit_t, fix_times, cum):
     s_vis = np.interp(visit_t, t, cum)
     dx_m = np.array([float(np.min(np.abs(s_fix - s))) for s in s_vis])
     return k_idx, dt_s, dx_m
+
+
+def rtk_records_reference(segments, total, outage_windows, base0, zone, hemisphere,
+                          d_antenna, rate_hz=1.0):
+    """(t, GeodeticCoord, GnssStatus) of each receiver record, one record at a
+    time: the plan position at each whole tick, then scalar ``utm_to_enu``,
+    the antenna offset and scalar ``enu_to_geodetic`` in the frame of the
+    plan point ``base0``; ``utm_to_geodetic`` alone without an offset."""
+    provisional = GeoContext(EnuOrigin(utm_to_geodetic(
+        UtmCoord(*map(float, base0), zone, hemisphere))), zone, hemisphere)
+    n_sec = int(math.floor(total / (1.0 / rate_hz) + 1e-9)) + 1
+    records = []
+    for k in range(n_sec):
+        t = k / rate_hz
+        pt = position_at_reference(segments, t)
+        u = UtmCoord(float(pt[0]), float(pt[1]), float(pt[2]), zone, hemisphere)
+        if not np.any(d_antenna):
+            g = utm_to_geodetic(u)
+        else:
+            e = provisional.utm_to_enu(u)
+            g = enu_to_geodetic(EnuCoord(e.e + d_antenna[0], e.n + d_antenna[1],
+                                         e.u + d_antenna[2]), provisional.origin)
+        out = any(a <= t < b for a, b in outage_windows)
+        records.append((t, g, GnssStatus.NONE if out else GnssStatus.RTK_FIX))
+    return records
+
+
+def parse_rtk_log_reference(source):
+    """(t, GeodeticCoord, GnssStatus) per line, one record object at a time."""
+    records = []
+    prev_t = None
+    for line_no, fields in trajectory_io._csv_rows(
+            source, ["t", "lat_deg", "lon_deg", "height", "status"], "RTK log"):
+        t, lat, lon, height = (trajectory_io._parse_float(tok, line_no, what)
+                               for tok, what in zip(fields, ("timestamp", "latitude",
+                                                             "longitude", "height")))
+        token = fields[4].upper()
+        if token not in trajectory_io._TOKEN_TO_STATUS:
+            raise UnknownStatus(line_no, fields[4])
+        if prev_t is not None and t < prev_t:
+            raise NonMonotonicTimestamp(line_no)
+        prev_t = t
+        try:
+            g = GeodeticCoord.from_degrees(lat, lon, height)
+        except ValueError as exc:
+            raise MalformedLine(line_no, str(exc)) from None
+        records.append((t, g, trajectory_io._TOKEN_TO_STATUS[token]))
+    return records
+
+
+def write_rtk_log_reference(records):
+    """RTK CSV text of (t, GeodeticCoord, GnssStatus) records, one f-string
+    per record."""
+    rows = [f"{t!r},{g.lat_deg!r},{g.lon_deg!r},{g.h!r},{status.token}\n"
+            for t, g, status in records]
+    return "t,lat_deg,lon_deg,height,status\n" + "".join(rows)
+
+
+def rtk_columns(records):
+    """The t, lat, lon, h and status columns of reference records, as lists."""
+    return ([t for t, _, _ in records], [g.lat for _, g, _ in records],
+            [g.lon for _, g, _ in records], [g.h for _, g, _ in records],
+            [int(s) for _, _, s in records])
 
 
 if __name__ == "__main__":

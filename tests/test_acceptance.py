@@ -33,7 +33,7 @@ from geotraj.matching import (
 )
 from geotraj.metrics import alignment_gap, checkpoint_errors
 from geotraj.report import evaluate_run
-from geotraj.synth import ScenarioSpec, base_center_truth, generate, write_scenario
+from geotraj.synth import ScenarioSpec, generate, write_scenario
 
 
 def _pass(num: int, label: str, detail: str) -> None:
@@ -219,7 +219,7 @@ def test_criterion_6_matching_determinism():
         noise_sigma=0.005,
     )
     sc = generate(spec)
-    dws = detect_dwells(base_center_truth(sc), 0.05, 5.0)
+    dws = detect_dwells(apply_lever_arm(sc.truth, np.zeros(3)), 0.05, 5.0)
     assert len(dws) == 20, len(dws)
     table = match_visits(dws, sc.checkpoints, sc.context, 1.0,
                          sequence_id="acceptance", generator_method="truth")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from geotraj.cli import main
-from geotraj.geodesy import UtmCoord, utm_to_geodetic
+from geotraj.geodesy import GeodeticCoord, UtmCoord, geodetic_to_utm, utm_to_geodetic
 from geotraj.synth import ScenarioSpec, generate, write_scenario
 from geotraj.trajectory_io import DeviceCalibration
 
@@ -300,6 +300,34 @@ def test_exit_code_invalid_spec(tmp_path, capsys):
     rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")])
     assert rc == 9
     assert "InvalidSpec" in capsys.readouterr().err
+
+
+def test_synth_waypoint_easting_outside_utm_is_invalid_spec(tmp_path, capsys):
+    doc = _bias_spec().to_dict()
+    doc["waypoints"][2][0] = 1_000_000.0
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")])
+    assert rc == 9
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: InvalidSpec: waypoint 2 has easting 1000000.0 outside (0, 1e6)"]
+
+
+def test_synth_receiver_beyond_84_deg_is_out_of_domain(tmp_path, capsys):
+    start = geodetic_to_utm(GeodeticCoord.from_degrees(83.99, 9.0, 50.0), 32)
+    doc = _bias_spec().to_dict()
+    doc.update(waypoints=[[start.easting, start.northing, 50.0],
+                          [start.easting, start.northing + 3000.0, 50.0]],
+               dwells=[["CP01", 2.0], ["CP02", 2.0]], speed_mps=50.0,
+               origin={"lat_deg": 83.99, "lon_deg": 9.0, "h": 50.0})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")])
+    assert rc == 8
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: OutOfDomain: inverse projection left the UTM latitude domain"]
 
 
 def test_exit_code_out_of_domain_convert(capsys):

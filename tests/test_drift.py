@@ -15,15 +15,18 @@ from geotraj.drift import (
     write_drift_csv,
 )
 from geotraj.errors import AllZeroAbscissa, InsufficientSamples, NoFixAvailable
-from geotraj.geodesy import GeodeticCoord, UtmCoord
+from geotraj.geodesy import UtmCoord
 from geotraj.lever_arm import BaseCenterTrack
 from geotraj.matching import CheckpointVisit
-from geotraj.trajectory_io import GnssStatus, RtkLog, RtkRecord
+from geotraj.trajectory_io import GnssStatus, RtkLog
 
 
 def _log(times_status):
-    g = GeodeticCoord.from_degrees(48.78, 9.18, 300.0)
-    return RtkLog([RtkRecord(float(t), g, s) for t, s in times_status])
+    t = np.array([float(ts) for ts, _ in times_status])
+    status = np.array([int(s) for _, s in times_status], dtype=np.int8)
+    n = len(t)
+    return RtkLog(t, np.full(n, np.radians(48.78)), np.full(n, np.radians(9.18)),
+                  np.full(n, 300.0), status)
 
 
 def _visit(cp_id, t):

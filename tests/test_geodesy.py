@@ -281,3 +281,58 @@ def test_batch_domain_checks_once_per_call(caplog):
     polar = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(84.5, 9.0, 0.0)), 32)
     with pytest.raises(OutOfDomain, match="latitude"):
         polar.enu_to_utm_batch(np.zeros((2, 3)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), zone=st.sampled_from([1, 2, 32, 59, 60]),
+       south=st.booleans(), lat=st.floats(0.5, 80.0), reach=st.floats(-1.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_row_methods_equal_scalar_bit_for_bit(seed, zone, south, lat, reach):
+    """UTM -> geodetic, UTM -> ENU and ENU -> geodetic: each row of a batch
+    equals the scalar API on that point alone, in zones on both sides of
+    +-180 deg, either hemisphere and up to 8 deg from the central meridian
+    (at most ~450 km east or west)."""
+    hemisphere = "south" if south else "north"
+    lon = 6 * zone - 183 + reach * min(8.0, 4.0 / math.cos(math.radians(lat)))
+    ctx = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(-lat if south else lat, lon,
+                                                          120.0)), zone, hemisphere)
+    base = geodetic_to_utm(ctx.origin.origin, zone)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 4.0, size=(30, 1))
+    pts = np.array([base.easting, base.northing, base.height]) + \
+        rng.uniform(-1.0, 1.0, size=(30, 3)) * scale
+    utms = [UtmCoord(*map(float, p), zone, hemisphere) for p in pts]
+
+    def columns(coords):
+        return [np.array([getattr(c, name) for c in coords]).tobytes()
+                for name in ("lat", "lon", "h")]
+
+    got = ctx.utm_to_geodetic_rows(pts)
+    assert [c.tobytes() for c in got] == columns([utm_to_geodetic(u) for u in utms])
+    enu = ctx.utm_to_enu_rows(pts)
+    assert enu.tolist() == [[e.e, e.n, e.u] for e in map(ctx.utm_to_enu, utms)]
+    got = ctx.enu_to_geodetic_rows(enu)
+    assert [c.tobytes() for c in got] == columns(
+        [enu_to_geodetic(EnuCoord(*p), ctx.origin) for p in enu.tolist()])
+
+
+def test_utm_to_geodetic_rows_raises_for_the_first_row_outside():
+    ctx = _site_ctx(_BATCH_SITES[0])
+    north = geodetic_to_utm(GeodeticCoord.from_degrees(83.99, 9.0, 0.0), 32)
+    pts = np.array([[500000.0, 5400000.0, 0.0],
+                    [north.easting, north.northing + 3000.0, 0.0],
+                    [1_800_000.0, 5400000.0, 0.0]])
+    with pytest.raises(OutOfDomain, match="inverse projection left"):
+        ctx.utm_to_geodetic_rows(pts)
+    with pytest.raises(OutOfDomain, match="easting 1800000.0 too far"):
+        ctx.utm_to_geodetic_rows(pts[[0, 2, 1]])
+
+
+def test_rows_equal_scalar_where_pow_squares_misround():
+    """A point where squaring a numpy scalar with ``**`` (libm ``pow``)
+    rounded one ulp away from ``x * x``, and the scalar latitude differed
+    from the batch one. The kernels multiply, so the two agree."""
+    ctx = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(54.57, -172.68, 0.0)), 1)
+    pt = (779501.9514026438, 6055716.75, 0.0)
+    lat, lon, h = ctx.utm_to_geodetic_rows(np.array([pt, pt]))
+    g = utm_to_geodetic(UtmCoord(*pt, 1))
+    assert (lat.tolist(), lon.tolist(), h.tolist()) == ([g.lat] * 2, [g.lon] * 2, [g.h] * 2)

@@ -2,19 +2,21 @@
 and agreement between the generator's own oracle and the full file pipeline.
 """
 
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geotraj import synth
 from oracles import (expected_nearest_reference, position_at_reference,
-                     random_walk_reference)
+                     random_walk_reference, rtk_columns, rtk_records_reference,
+                     write_rtk_log_reference)
 
-from geotraj.errors import InvalidSpec
-from geotraj.geodesy import UtmCoord, utm_to_geodetic
+from geotraj.errors import InvalidSpec, OutOfDomain
+from geotraj.geodesy import GeodeticCoord, UtmCoord, geodetic_to_utm, utm_to_geodetic
 from geotraj.lever_arm import apply_lever_arm
 from geotraj.matching import detect_dwells, match_visits, visits_from_table
 from geotraj.metrics import summarize
@@ -23,7 +25,6 @@ from geotraj.synth import (
     RTK_RATE_HZ,
     Scenario,
     ScenarioSpec,
-    base_center_truth,
     expected_metrics,
     generate,
     write_scenario,
@@ -34,6 +35,7 @@ from geotraj.trajectory_io import (
     parse_checkpoints,
     parse_rtk_log,
     parse_trajectory,
+    write_rtk_log,
 )
 
 E0, N0, H0 = 513000.0, 5403000.0, 300.0
@@ -117,21 +119,116 @@ def test_written_files_parse_back_exactly(tmp_path):
     assert [c.id for c in cps] == [c.id for c in sc.checkpoints]
     assert cps[0].coord.easting == sc.checkpoints[0].coord.easting
     log = parse_rtk_log(tmp_path / "rtk.csv")
-    assert len(log.records) == len(sc.rtk.records)
-    assert log.records[0].t == sc.rtk.records[0].t
+    for col in ("t", "h", "status"):
+        assert getattr(log, col).tolist() == getattr(sc.rtk, col).tolist(), col
 
 
 def test_rtk_outage_windows_are_half_open():
     sc = generate(_line_spec(outage_windows=[(20.0, 50.0)]))
-    by_t = {r.t: r.status for r in sc.rtk.records}
-    assert by_t[19.0] is GnssStatus.RTK_FIX
-    assert by_t[20.0] is GnssStatus.NONE
-    assert by_t[49.0] is GnssStatus.NONE
-    assert by_t[50.0] is GnssStatus.RTK_FIX
-    assert sc.rtk.records[0].status is GnssStatus.RTK_FIX
+    by_t = dict(zip(sc.rtk.t.tolist(), sc.rtk.status.tolist()))
+    assert by_t[19.0] == GnssStatus.RTK_FIX
+    assert by_t[20.0] == GnssStatus.NONE
+    assert by_t[49.0] == GnssStatus.NONE
+    assert by_t[50.0] == GnssStatus.RTK_FIX
+    assert sc.rtk.status[0] == GnssStatus.RTK_FIX
     # 1 Hz cadence across the whole scenario.
-    ts = [r.t for r in sc.rtk.records]
+    ts = sc.rtk.t.tolist()
     assert ts == [float(i) / RTK_RATE_HZ for i in range(len(ts))]
+
+
+_LEVER_ARMS = [None, DeviceCalibration([-0.073, -0.023, -0.172], [0.023, -0.023, 0.090]),
+               DeviceCalibration([0.0, 0.0, 0.0], [0.4, -1.1, 1.5])]
+
+
+@st.composite
+def _receiver_specs(draw):
+    """A few waypoints within 60 m of a random site in any zone, either
+    hemisphere, up to ~8 deg from the central meridian."""
+    zone = draw(st.integers(1, 60))
+    south = draw(st.booleans())
+    e0 = draw(st.floats(170_000.0, 830_000.0))
+    n0 = draw(st.floats(2_600_000.0, 9_990_000.0) if south else st.floats(0.0, 7_400_000.0))
+    h0 = draw(st.floats(-50.0, 3000.0))
+    n_wp = draw(st.integers(2, 4))
+    offsets = draw(st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0),
+                                      st.floats(-5.0, 5.0)),
+                            min_size=n_wp - 1, max_size=n_wp - 1))
+    waypoints = np.array([[e0, n0, h0]] + [[e0 + de, n0 + dn, h0 + dh]
+                                           for de, dn, dh in offsets])
+    # The first stop is a dwell: a scenario needs a duration and a visit.
+    durations = [2.5] + draw(st.lists(st.sampled_from([0.0, 2.5, 4.0]),
+                                      min_size=n_wp - 1, max_size=n_wp - 1))
+    hemisphere = "south" if south else "north"
+    return ScenarioSpec(
+        seed=draw(st.integers(0, 2**32 - 1)), waypoints=waypoints,
+        dwells=[(f"CP{k}" if dur > 0 else "", dur) for k, dur in enumerate(durations)],
+        speed=draw(st.sampled_from([1.5, 4.0])),
+        origin=utm_to_geodetic(UtmCoord(e0, n0, h0, zone, hemisphere)), zone=zone,
+        outage_windows=draw(st.sampled_from([[], [(2.5, 7.5)], [(5.0, 20.0)]])),
+        calibration=draw(st.sampled_from(_LEVER_ARMS)))
+
+
+def _receiver_spec(e0, n0, zone, hemisphere, calibration):
+    return ScenarioSpec(
+        seed=1, waypoints=np.array([[e0, n0, 80.0], [e0 + 40.0, n0 - 30.0, 82.0]]),
+        dwells=[("CP1", 3.0), ("CP2", 3.0)], speed=1.5,
+        origin=utm_to_geodetic(UtmCoord(e0, n0, 80.0, zone, hemisphere)), zone=zone,
+        calibration=calibration)
+
+
+@given(spec=_receiver_specs())
+@example(spec=_receiver_spec(180_000.0, 3_000_000.0, 56, "south", _LEVER_ARMS[1]))
+@example(spec=_receiver_spec(820_000.0, 6_500_000.0, 1, "north", _LEVER_ARMS[2]))
+@example(spec=_receiver_spec(513_000.0, 5_403_000.0, 32, "north", None))
+@settings(max_examples=40, deadline=None)
+def test_receiver_log_matches_per_record_chain(spec):
+    """Each record's columns and written line, and the world origin, as the
+    scalar chain built them one record at a time."""
+    sc = generate(spec)
+    segments, _, total = synth._schedule(spec)
+    calib = spec.calibration if spec.calibration is not None else DeviceCalibration.zero()
+    want = rtk_records_reference(segments, total, spec.outage_windows, sc.truth_utm[0],
+                                 spec.zone, sc.hemisphere,
+                                 calib.t_imu_to_antenna - calib.t_imu_to_base)
+    cols = (sc.rtk.t, sc.rtk.lat, sc.rtk.lon, sc.rtk.h, sc.rtk.status)
+    assert [c.tobytes() for c in cols] == \
+        [np.asarray(w, dtype=c.dtype).tobytes() for w, c in zip(rtk_columns(want), cols)]
+    buf = io.StringIO()
+    write_rtk_log(sc.rtk, buf)
+    assert buf.getvalue() == write_rtk_log_reference(want)
+    first = want[0][1]
+    assert sc.origin == GeodeticCoord.from_degrees(first.lat_deg, first.lon_deg, first.h)
+
+
+def _polar_spec():
+    """A walk north from 83.99 deg that crosses the UTM domain's 84 deg edge."""
+    start = geodetic_to_utm(GeodeticCoord.from_degrees(83.99, 9.0, 50.0), 32)
+    e0, n0 = start.easting, start.northing
+    return _line_spec(waypoints=np.array([[e0, n0, 50.0], [e0, n0 + 3000.0, 50.0]]),
+                      dwells=[("CP01", 2.0), ("CP02", 2.0)], speed=50.0,
+                      origin=utm_to_geodetic(UtmCoord(e0, n0, 50.0, 32)))
+
+
+@pytest.mark.parametrize("calibration", _LEVER_ARMS[:2])
+def test_receiver_record_beyond_84_deg_is_out_of_domain(calibration):
+    spec = _polar_spec()
+    spec.calibration = calibration
+    segments, _, total = synth._schedule(spec)
+    d_antenna = (np.zeros(3) if calibration is None
+                 else calibration.t_imu_to_antenna - calibration.t_imu_to_base)
+    with pytest.raises(OutOfDomain) as want:
+        rtk_records_reference(segments, total, [], spec.waypoints[0], 32, "north",
+                              d_antenna)
+    with pytest.raises(OutOfDomain) as got:
+        generate(spec)
+    assert str(got.value) == str(want.value)
+
+
+def test_waypoint_easting_outside_utm_is_invalid_spec():
+    for bad in (1_000_000.0, 0.0, -5.0):
+        wps = np.array([[E0, N0, H0], [E0 + 90.0, N0, H0], [bad, N0, H0]])
+        with pytest.raises(InvalidSpec, match="waypoint 2 has easting"):
+            generate(_line_spec(waypoints=wps))
 
 
 def test_random_walk_variance_tracks_discrete_process():
@@ -225,7 +322,7 @@ def test_visit_samples_where_interpolated_arc_length_dips():
 def test_expected_metrics_match_per_visit_scans_on_a_scenario():
     sc = generate(_line_spec(outage_windows=[(20.0, 50.0)], drift_rate=0.05,
                              noise_sigma=0.01, sample_rate_hz=100.0))
-    fix_times = np.array([r.t for r in sc.rtk.records if r.status is GnssStatus.RTK_FIX])
+    fix_times = sc.rtk.t[sc.rtk.status == GnssStatus.RTK_FIX]
     steps = np.linalg.norm(np.diff(sc.truth_utm, axis=0), axis=1)
     k_idx, dt_s, dx_m = expected_nearest_reference(
         sc.t, sc.expected.visit_t, fix_times, np.concatenate([[0.0], np.cumsum(steps)]))
@@ -268,7 +365,7 @@ def test_expected_error_magnitude_uses_chi_mean():
 def test_pipeline_matches_generator_oracle_bias_only():
     """Dual route: dwell detection + matching + metrics vs the oracle."""
     sc = generate(_line_spec(global_bias=np.array([0.4, -0.3, 0.2])))
-    truth_track = base_center_truth(sc)
+    truth_track = apply_lever_arm(sc.truth, np.zeros(3))
     dwells = detect_dwells(truth_track, 0.05, 5.0)
     table = match_visits(dwells, sc.checkpoints, sc.context, gate_radius=2.0,
                          sequence_id="t", generator_method="truth")

@@ -24,7 +24,6 @@ from geotraj.trajectory_io import (
     DeviceCalibration,
     GnssStatus,
     RtkLog,
-    RtkRecord,
     Trajectory,
     first_rtk_fix,
     parse_checkpoints,
@@ -34,9 +33,9 @@ from geotraj.trajectory_io import (
     write_rtk_log,
     write_trajectory,
 )
-from geotraj.geodesy import GeodeticCoord
 from geotraj import trajectory_io
-from oracles import write_trajectory_reference
+from oracles import (parse_rtk_log_reference, rtk_columns,
+                     write_rtk_log_reference, write_trajectory_reference)
 
 TUM_SAMPLE = b"""\
 # ts x y z qx qy qz qw
@@ -402,11 +401,11 @@ t,lat_deg,lon_deg,height,status
 
 def test_parse_rtk_log_sample():
     log = parse_rtk_log(RTK_SAMPLE)
-    assert [r.status for r in log.records] == [
+    assert log.status.tolist() == [
         GnssStatus.RTK_FIX, GnssStatus.RTK_FIX,
         GnssStatus.RTK_FLOAT, GnssStatus.NONE,
     ]
-    assert log.records[0].g.lat_deg == pytest.approx(48.780001, abs=1e-12)
+    assert math.degrees(log.lat[0]) == pytest.approx(48.780001, abs=1e-12)
 
 
 def test_rtk_unknown_status_token():
@@ -419,7 +418,7 @@ def test_rtk_unknown_status_token():
 def test_rtk_timestamps_may_repeat_but_not_decrease():
     ok = (b"t,lat_deg,lon_deg,height,status\n"
           b"0.0,48.0,9.0,300.0,FIX\n0.0,48.0,9.0,300.0,FIX\n")
-    assert len(parse_rtk_log(ok).records) == 2
+    assert len(parse_rtk_log(ok)) == 2
     bad = (b"t,lat_deg,lon_deg,height,status\n"
            b"1.0,48.0,9.0,300.0,FIX\n0.5,48.0,9.0,300.0,FIX\n")
     with pytest.raises(NonMonotonicTimestamp):
@@ -445,23 +444,74 @@ def test_rtk_parser_never_panics(data):
         pass
 
 
+def _rtk_log(rows):
+    """RtkLog of (t, lat_deg, lon_deg, h, status) rows."""
+    t, lat, lon, h, status = (np.array(col) for col in zip(*rows))
+    return RtkLog(t, np.radians(lat), np.radians(lon), h, status.astype(np.int8))
+
+
 def test_first_rtk_fix_selects_earliest_fix():
-    g = GeodeticCoord.from_degrees(48.78, 9.18, 300.0)
-    g_fix = GeodeticCoord.from_degrees(48.781, 9.181, 301.0)
-    log = RtkLog([
-        RtkRecord(0.0, g, GnssStatus.RTK_FLOAT),
-        RtkRecord(1.0, g_fix, GnssStatus.RTK_FIX),
-        RtkRecord(2.0, g, GnssStatus.RTK_FIX),
-    ])
-    origin = first_rtk_fix(log)
-    assert origin.origin is g_fix
+    log = _rtk_log([(0.0, 48.78, 9.18, 300.0, GnssStatus.RTK_FLOAT),
+                    (1.0, 48.781, 9.181, 301.0, GnssStatus.RTK_FIX),
+                    (2.0, 48.78, 9.18, 300.0, GnssStatus.RTK_FIX)])
+    g = first_rtk_fix(log).origin
+    assert (g.lat, g.lon, g.h) == (log.lat[1], log.lon[1], 301.0)
 
 
 def test_first_rtk_fix_requires_a_fix():
-    g = GeodeticCoord.from_degrees(48.78, 9.18, 300.0)
-    log = RtkLog([RtkRecord(0.0, g, GnssStatus.RTK_FLOAT)])
+    log = _rtk_log([(0.0, 48.78, 9.18, 300.0, GnssStatus.RTK_FLOAT)])
     with pytest.raises(NoFixAvailable):
         first_rtk_fix(log)
+
+
+def _rtk_outcome(parse, data):
+    """Columns of a parse, or the error's type, line number and message."""
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+_RTK_STATUS = st.sampled_from(["FIX", "fix", "Float", "DGPS", "SINGLE", "NONE"])
+_RTK_GOOD = st.tuples(
+    st.floats(0.0, 1e6).map(repr),
+    st.one_of(st.floats(-90.0, 90.0),
+              st.sampled_from([90.0, -90.0, 90.00000000000001, -0.0])).map(repr),
+    st.one_of(st.floats(-1000.0, 1000.0),
+              st.sampled_from([180.0, -180.0, 540.0, 179.99999999999997])).map(repr),
+    st.floats(-1e4, 1e4).map(repr), _RTK_STATUS).map(",".join)
+_RTK_BAD_TOKEN = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                           st.sampled_from(["", "x", "1e999", " 7 ", "0x1p3", "90.1",
+                                            "-91"]))
+_RTK_BAD = st.one_of(
+    st.tuples(_RTK_BAD_TOKEN, _RTK_BAD_TOKEN, _RTK_BAD_TOKEN, _RTK_BAD_TOKEN,
+              st.one_of(_RTK_STATUS, st.just("GREAT"))).map(",".join),
+    st.sampled_from(["", "# note", "1,2,3", "t,lat_deg,lon_deg,height,status"]))
+
+
+@given(lines=st.lists(_RTK_GOOD, max_size=10), bad=st.one_of(st.none(), _RTK_BAD),
+       at=st.integers(0, 10), sorted_t=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_rtk_log_matches_per_record_parser(lines, bad, at, sorted_t):
+    """Columns, error class, line number and message all as the parser that
+    built one record object per line; the writer as its f-string writer."""
+    if bad is not None:
+        lines.insert(at, bad)
+    if sorted_t:
+        lines = [f"{k}.0" + line[line.index(","):] if line.count(",") == 4 else line
+                 for k, line in enumerate(lines)]
+    data = ("t,lat_deg,lon_deg,height,status\n" + "\n".join(lines)).encode()
+    got = _rtk_outcome(parse_rtk_log, data)
+    want = _rtk_outcome(parse_rtk_log_reference, data)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    cols = (got.t, got.lat, got.lon, got.h, got.status)
+    assert [np.asarray(c).tobytes() for c in cols] == \
+        [np.asarray(c, dtype=g.dtype).tobytes() for c, g in zip(rtk_columns(want), cols)]
+    buf = io.StringIO()
+    write_rtk_log(got, buf)
+    assert buf.getvalue() == write_rtk_log_reference(want)
 
 
 def test_gnss_status_ordering_and_tokens():
