@@ -10,8 +10,7 @@ expected metrics.
 __version__ = "0.1.0"
 
 from .alignment import RigidTransform, apply_transform, svd_3x3, umeyama_align
-from .drift import (DriftFit, DriftSample, OutageCoordinate, fit_drift,
-                    outage_coordinates)
+from .drift import DriftFit, DriftSample, fit_drift, outage_coordinates
 from .errors import GeotrajError
 from .geodesy import (GRS80, EcefCoord, Ellipsoid, EnuCoord, EnuOrigin,
                       GeoContext, GeodeticCoord, UtmCoord, ecef_to_geodetic,
@@ -21,8 +20,8 @@ from .lever_arm import BaseCenterTrack, apply_lever_arm
 from .matching import (CheckpointVisit, DwellSegment, VisitTable, detect_dwells,
                        export_visit_table, import_visit_table, match_visits,
                        visits_from_table)
-from .metrics import (AccuracySummary, CheckpointError, absolute_rmse,
-                      aligned_rmse, alignment_gap, checkpoint_errors, summarize)
+from .metrics import (AccuracySummary, absolute_rmse, aligned_rmse, alignment_gap,
+                      summarize)
 from .synth import Scenario, ScenarioSpec, expected_metrics, generate
 from .trajectory_io import (Checkpoint, DeviceCalibration, GnssStatus, RtkLog,
                             Trajectory, first_rtk_fix, parse_checkpoints,

@@ -24,9 +24,9 @@ from pathlib import Path
 from .config import load_run_config
 from .errors import (AllZeroAbscissa, ConfigError, DegenerateConfiguration,
                      GeotrajError, InsufficientPoints, InsufficientSamples,
-                     InvalidSpec, LookupGapExceeded, NoCheckpoints,
-                     NoFixAvailable, NonConvergence, OutOfDomain, ParseError,
-                     SchemaMismatch, UndefinedGap, UnknownCheckpoint)
+                     InvalidSpec, NoCheckpoints, NoFixAvailable,
+                     NonConvergence, OutOfDomain, ParseError, SchemaMismatch,
+                     UndefinedGap, UnknownCheckpoint)
 from .geodesy import (EcefCoord, GeodeticCoord, UtmCoord, ecef_to_geodetic,
                       geodetic_to_ecef, geodetic_to_utm, utm_to_geodetic)
 
@@ -42,7 +42,6 @@ EXIT_CODES: list[tuple[type, int]] = [
     (AllZeroAbscissa, 6),
     (UndefinedGap, 6),
     (SchemaMismatch, 7),
-    (LookupGapExceeded, 7),
     (OutOfDomain, 8),
     (NonConvergence, 8),
     (InvalidSpec, 9),
@@ -86,16 +85,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    from .lever_arm import apply_lever_arm
     from .matching import export_visit_table
-    from .report import detect_visit_table, load_survey
-    from .trajectory_io import parse_trajectory
+    from .report import detect_visit_table, load_survey, load_track
 
     config = load_run_config(args.config)
     cps, _, ctx = load_survey(config)
     method = next(m for m in config.methods if m.label == config.table_label)
-    track = apply_lever_arm(parse_trajectory(method.trajectory),
-                            config.calibration.t_imu_to_base)
+    track = load_track(method, config.calibration)
     table = detect_visit_table(config, track, cps, ctx)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -122,13 +118,14 @@ def cmd_drift(args: argparse.Namespace) -> int:
             raise SchemaMismatch(f"cannot read report {report_path}: {exc}") from None
 
     fits = {}
-    by_method: dict[str, list[tuple[float, float]]] = {}
+    by_method: dict[str, tuple[list[float], list[float]]] = {}
     for s in samples:
-        x = s.dt_s if args.axis == "time" else s.dx_m
-        by_method.setdefault(s.method, []).append((x, s.eps_m))
-    for method, pairs in sorted(by_method.items()):
+        xs, ys = by_method.setdefault(s.method, ([], []))
+        xs.append(s.dt_s if args.axis == "time" else s.dx_m)
+        ys.append(s.eps_m)
+    for method, (xs, ys) in sorted(by_method.items()):
         try:
-            fits[method] = fit_drift(pairs, args.eps0)
+            fits[method] = fit_drift(xs, ys, args.eps0)
         except (InsufficientSamples, AllZeroAbscissa) as exc:
             print(f"warning: {method}: no fit ({exc})", file=sys.stderr)
 

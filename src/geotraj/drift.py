@@ -19,23 +19,16 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import AllZeroAbscissa, InsufficientSamples, NoFixAvailable
 from .lever_arm import BaseCenterTrack
-from .matching import CheckpointVisit, nearest_samples
+from .matching import nearest_samples
 from .trajectory_io import GnssStatus, RtkLog, _write_text
 
 DEFAULT_EPS0 = 0.02
-
-
-@dataclass(frozen=True)
-class OutageCoordinate:
-    checkpoint_id: str
-    dt_nearest_fix: float
-    dx_nearest_fix: float
 
 
 @dataclass(frozen=True)
@@ -47,8 +40,7 @@ class DriftFit:
     n: int
 
 
-@dataclass(frozen=True)
-class DriftSample:
+class DriftSample(NamedTuple):
     """One (visit, error) pair annotated for the aggregate CSV."""
 
     method: str
@@ -64,50 +56,50 @@ def _cumulative_path(track: BaseCenterTrack) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def outage_coordinates(track: BaseCenterTrack, log: RtkLog,
-                       visits: Sequence[CheckpointVisit],
+def outage_coordinates(track: BaseCenterTrack, log: RtkLog, t_rep: np.ndarray,
                        min_status: GnssStatus = GnssStatus.RTK_FIX
-                       ) -> list[OutageCoordinate]:
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Time and arc length from each visit instant in ``t_rep`` to the
+    nearest fix at or above ``min_status``."""
     fix_times = log.t[log.status >= min_status]
     if fix_times.size == 0:
         raise NoFixAvailable("RTK log contains no record at or above "
                              f"{min_status.name}")
     cum = _cumulative_path(track)
     fix_s = np.interp(fix_times, track.t, cum)
-    t_rep = np.array([v.t_rep for v in visits], dtype=float)
     # Arc length at each visit, interpolated and clamped to the track.
     s_visit = np.interp(t_rep, track.t, cum)
     # The nearest value is a neighbour in sorted order; sorting keeps the
     # values, so each gap is the minimum over every fix.
     _, dt = nearest_samples(np.sort(fix_times), t_rep)
     _, dx = nearest_samples(np.sort(fix_s), s_visit)
-    return [OutageCoordinate(v.checkpoint_id, a, b)
-            for v, a, b in zip(visits, dt.tolist(), dx.tolist())]
+    return dt, dx
 
 
-def fit_drift(samples: Sequence[tuple[float, float]], eps0: float = DEFAULT_EPS0
+def fit_drift(x: Sequence[float], eps: Sequence[float], eps0: float = DEFAULT_EPS0
               ) -> DriftFit:
     """Least squares for eps = eps0 + alpha*x with the intercept pinned."""
-    if len(samples) < 2:
-        raise InsufficientSamples(f"drift fit needs >= 2 samples, got {len(samples)}")
-    x = np.array([s[0] for s in samples], dtype=float)
-    eps = np.array([s[1] for s in samples], dtype=float)
+    if len(x) < 2:
+        raise InsufficientSamples(f"drift fit needs >= 2 samples, got {len(x)}")
+    x = np.asarray(x, dtype=float)
+    eps = np.asarray(eps, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("outage abscissa must be non-negative")
     sxx = float(np.sum(x * x))
     if sxx == 0.0:
         raise AllZeroAbscissa("every sample sits exactly at a fix; no slope to fit")
     alpha = float(np.sum(x * (eps - eps0)) / sxx)
-    return DriftFit(eps0, alpha, len(samples))
+    return DriftFit(eps0, alpha, len(x))
 
 
-def write_drift_csv(samples: Sequence[DriftSample], sink: Union[str, Path, IO]) -> None:
+def write_drift_csv(rows: Iterable[Sequence], sink: Union[str, Path, IO]) -> None:
+    """One line per (method, sequence, cp_id, dt_s, dx_m, eps_m) row, such
+    as a ``DriftSample``; the floats are written with ``repr``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "sequence", "cp_id", "dt_s", "dx_m", "eps_m"])
-    for s in samples:
-        writer.writerow([s.method, s.sequence, s.cp_id,
-                         repr(s.dt_s), repr(s.dx_m), repr(s.eps_m)])
+    writer.writerow(DriftSample._fields)
+    for method, sequence, cp_id, *values in rows:
+        writer.writerow([method, sequence, cp_id, *map(repr, values)])
     _write_text(sink, buf.getvalue())
 
 

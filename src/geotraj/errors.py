@@ -84,10 +84,6 @@ class SchemaMismatch(GeotrajError):
     """Serialized document does not match the expected schema."""
 
 
-class LookupGapExceeded(GeotrajError):
-    """Nearest pose is further from the requested timestamp than allowed."""
-
-
 class InvalidSpec(GeotrajError):
     """Synthetic scenario specification violates its invariants."""
 

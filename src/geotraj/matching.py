@@ -22,7 +22,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .errors import LookupGapExceeded, NoCheckpoints, SchemaMismatch, UnknownCheckpoint
+from .errors import NoCheckpoints, SchemaMismatch, UnknownCheckpoint
 from .geodesy import GeoContext, UtmCoord
 from .lever_arm import BaseCenterTrack
 from .trajectory_io import Checkpoint
@@ -67,6 +67,18 @@ class CheckpointVisit:
     t_rep: float
     p_est: UtmCoord
     distance_to_cp: float
+
+
+@dataclass(eq=False)
+class VisitColumns:
+    """One method's kept visits in table order: ids, instants, its (V, 3) UTM
+    positions and the surveyed ones; one message per skipped visit."""
+
+    checkpoint_ids: list[str]
+    t_rep: np.ndarray
+    est: np.ndarray
+    ref: np.ndarray
+    skipped: list[str]
 
 
 @dataclass(eq=False)
@@ -297,30 +309,16 @@ def nearest_samples(t: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.nd
             np.where(take_left, gap_left, gap_right))
 
 
-def _gap_message(t_rep: float, gap: float, max_gap: float) -> str:
-    return f"nearest sample is {gap:.3f} s from t={t_rep:.3f} (limit {max_gap} s)"
-
-
-def pose_at(track: BaseCenterTrack, t_rep: float,
-            max_gap: float = LOOKUP_MAX_GAP) -> np.ndarray:
-    """Track position at the sample nearest t_rep; no interpolation."""
-    idx, gap = nearest_samples(track.t, np.array([t_rep], dtype=float))
-    if not gap[0] <= max_gap:
-        raise LookupGapExceeded(_gap_message(t_rep, float(gap[0]), max_gap))
-    return track.p[idx[0]]
-
-
 def visits_from_table(table: VisitTable, track: BaseCenterTrack,
                       cps: Sequence[Checkpoint], ctx: GeoContext,
-                      max_gap: float = LOOKUP_MAX_GAP
-                      ) -> tuple[list[CheckpointVisit], list[str]]:
+                      max_gap: float = LOOKUP_MAX_GAP) -> VisitColumns:
     """Re-evaluate the table's timestamps against another method's track.
 
     The table fixes (checkpoint_id, t_rep); the position is the evaluated
-    track's nearest sample, so all methods answer the same question: where
-    does this method think it was at the instant the device sat on the
-    checkpoint. Returns the visits, in table order, and one message per
-    visit skipped because no sample lies within ``max_gap`` seconds.
+    track's nearest sample, with no interpolation, so all methods answer the
+    same question: where does this method think it was at the instant the
+    device sat on the checkpoint. A visit with no sample within ``max_gap``
+    seconds is skipped with a message.
 
     Raises UnknownCheckpoint or SchemaMismatch (non-finite ``t_rep``) for
     the first such visit in table order.
@@ -338,15 +336,12 @@ def visits_from_table(table: VisitTable, track: BaseCenterTrack,
     t_rep = np.array([v.t_rep for v in table.visits], dtype=float)
     idx, gap = nearest_samples(track.t, t_rep)
     near = gap <= max_gap
-    kept = [v for v, ok in zip(table.visits, near.tolist()) if ok]
-    coords = ctx.enu_to_utm_coords(track.p[idx[near]])
-    dist = _norms(_utm_rows(coords) - _utm_rows([by_id[v.checkpoint_id].coord
-                                                 for v in kept]))
-    visits = [CheckpointVisit(v.checkpoint_id, v.t_rep, coord, d)
-              for v, coord, d in zip(kept, coords, dist.tolist())]
-    skipped = [f"{v.checkpoint_id}@{v.t_rep:.3f}: {_gap_message(v.t_rep, g, max_gap)}"
+    kept = [v.checkpoint_id for v, ok in zip(table.visits, near.tolist()) if ok]
+    skipped = [f"{v.checkpoint_id}@{v.t_rep:.3f}: nearest sample is {g:.3f} s from "
+               f"t={v.t_rep:.3f} (limit {max_gap} s)"
                for v, g, ok in zip(table.visits, gap.tolist(), near.tolist()) if not ok]
-    return visits, skipped
+    return VisitColumns(kept, t_rep[near], ctx.enu_to_utm_batch(track.p[idx[near]]),
+                        _utm_rows([by_id[cp_id].coord for cp_id in kept]), skipped)
 
 
 _TABLE_SCHEMA_KEYS = {"sequence_id", "generator_method", "visits",

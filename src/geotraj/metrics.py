@@ -21,18 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import RigidTransform, apply_transform, umeyama_align
-from .errors import NoCheckpoints, UndefinedGap, UnknownCheckpoint
-from .matching import CheckpointVisit
-from .trajectory_io import Checkpoint
-
-
-@dataclass(frozen=True)
-class CheckpointError:
-    """Per-checkpoint signed error (easting, northing, height), meters."""
-
-    checkpoint_id: str
-    eps: tuple[float, float, float]
-    norm: float
+from .errors import NoCheckpoints, UndefinedGap
 
 
 @dataclass(frozen=True)
@@ -48,35 +37,18 @@ class AccuracySummary:
         return int(round(self.gap_percent))
 
 
-def checkpoint_errors(visits: Sequence[CheckpointVisit],
-                      cps: Sequence[Checkpoint]) -> list[CheckpointError]:
-    by_id = {cp.id: cp for cp in cps}
-    errors: list[CheckpointError] = []
-    for visit in visits:
-        cp = by_id.get(visit.checkpoint_id)
-        if cp is None:
-            raise UnknownCheckpoint(f"visit references unknown checkpoint "
-                                    f"{visit.checkpoint_id!r}")
-        eps = (visit.p_est.easting - cp.coord.easting,
-               visit.p_est.northing - cp.coord.northing,
-               visit.p_est.height - cp.coord.height)
-        errors.append(CheckpointError(visit.checkpoint_id, eps, math.hypot(*eps)))
-    return errors
+def absolute_rmse(norms: Sequence[float]) -> float:
+    """Root mean square of 3D error norms; no alignment of any kind.
 
-
-def absolute_rmse(errors: Sequence[CheckpointError]) -> float:
-    """Root mean square of 3D error norms; no alignment of any kind."""
-    if not errors:
+    The squares are added left to right: the builtin ``sum`` compensates
+    from Python 3.12 on, which would make the bits depend on the version.
+    """
+    if len(norms) == 0:
         raise NoCheckpoints("absolute RMSE needs at least one checkpoint error")
-    return math.sqrt(sum(e.norm ** 2 for e in errors) / len(errors))
-
-
-def per_axis_rmse(errors: Sequence[CheckpointError]) -> tuple[float, float, float]:
-    if not errors:
-        raise NoCheckpoints("per-axis RMSE needs at least one checkpoint error")
-    eps = np.array([e.eps for e in errors])
-    axis = np.sqrt(np.mean(eps ** 2, axis=0))
-    return (float(axis[0]), float(axis[1]), float(axis[2]))
+    total = 0.0
+    for v in norms:
+        total += v ** 2
+    return math.sqrt(total / len(norms))
 
 
 def aligned_rmse(est: np.ndarray, ref: np.ndarray) -> tuple[float, RigidTransform]:
@@ -99,32 +71,21 @@ def alignment_gap(rmse_abs: float, rmse_aligned: float) -> float:
     return gap
 
 
-def visit_point_pairs(visits: Sequence[CheckpointVisit],
-                      cps: Sequence[Checkpoint]) -> tuple[np.ndarray, np.ndarray]:
-    """(est, ref) UTM point arrays in visit order, for the aligned metric."""
-    by_id = {cp.id: cp for cp in cps}
-    est, ref = [], []
-    for visit in visits:
-        cp = by_id.get(visit.checkpoint_id)
-        if cp is None:
-            raise UnknownCheckpoint(f"visit references unknown checkpoint "
-                                    f"{visit.checkpoint_id!r}")
-        est.append([visit.p_est.easting, visit.p_est.northing, visit.p_est.height])
-        ref.append([cp.coord.easting, cp.coord.northing, cp.coord.height])
-    return np.array(est, dtype=float).reshape(-1, 3), np.array(ref, dtype=float).reshape(-1, 3)
+def summarize(est: np.ndarray, ref: np.ndarray
+              ) -> tuple[AccuracySummary, np.ndarray, np.ndarray]:
+    """Accuracy summary of one method's (V, 3) UTM positions ``est`` against
+    the surveyed positions ``ref``, with the (V, 3) signed errors
+    (easting, northing, height) and their norms.
 
-
-def summarize(visits: Sequence[CheckpointVisit], cps: Sequence[Checkpoint]
-              ) -> tuple[AccuracySummary, list[CheckpointError], RigidTransform]:
-    """Full accuracy summary for one method's visits."""
-    errors = checkpoint_errors(visits, cps)
-    rmse_abs = absolute_rmse(errors)
-    est, ref = visit_point_pairs(visits, cps)
-    rmse_al, transform = aligned_rmse(est, ref)
-    if rmse_abs > 0.0:
-        gap = alignment_gap(rmse_abs, rmse_al)
-    else:
-        gap = 0.0
-    summary = AccuracySummary(rmse_abs, rmse_al, gap, len(errors),
-                              per_axis_rmse(errors))
-    return summary, errors, transform
+    Each norm is ``math.hypot`` of one row: vectorised norms round
+    differently in the last bit.
+    """
+    errors = est - ref
+    norms = [math.hypot(*row) for row in errors.tolist()]
+    rmse_abs = absolute_rmse(norms)
+    rmse_al, _ = aligned_rmse(est, ref)
+    gap = alignment_gap(rmse_abs, rmse_al) if rmse_abs > 0.0 else 0.0
+    axis = np.sqrt(np.mean(errors ** 2, axis=0))
+    summary = AccuracySummary(rmse_abs, rmse_al, gap, len(norms),
+                              (float(axis[0]), float(axis[1]), float(axis[2])))
+    return summary, errors, np.array(norms)

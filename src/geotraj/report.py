@@ -1,8 +1,11 @@
 """Run evaluation end to end and emit the report bundle.
 
-Pipeline per method: parse trajectory -> lever arm to base center -> look up
-positions at the shared visit timestamps -> checkpoint errors in UTM ->
-absolute/aligned RMSE and gap -> outage coordinates and drift fits.
+Stages, shared by ``evaluate`` and ``match``: ``load_survey`` (checkpoints,
+RTK log, frame), ``load_track`` (trajectory plus lever arm) and
+``detect_visit_table``; then ``evaluate_method`` per method (lookup at the
+table's instants, absolute/aligned RMSE and gap, outage coordinates, drift
+fits) and ``write_report``. A method's visits pass between stages as
+columns: checkpoint ids, ``t_rep`` and (V, 3) arrays.
 
 Artifacts written to the output directory:
 
@@ -12,6 +15,7 @@ Artifacts written to the output directory:
   drift_samples.csv     method, sequence, cp_id, dt_s, dx_m, eps_m
   checkpoint_errors.svg bar chart of per-checkpoint 3D error (first method)
   trajectory_overlay.svg  UTM-plane tracks plus checkpoint markers
+  drift_time.svg        error against time to the nearest fix, per method
 
 Reports are deterministic byte for byte: keys are sorted, meter quantities
 are rounded to fixed 1e-6 m, and the config hash pins provenance.
@@ -30,28 +34,34 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
-from .drift import (DriftFit, DriftSample, fit_drift, outage_coordinates,
-                    write_drift_csv)
+from .config import MethodSpec, RunConfig
+from .drift import DriftFit, fit_drift, outage_coordinates, write_drift_csv
 from .errors import InsufficientSamples, AllZeroAbscissa
 from .geodesy import GeoContext
 from .lever_arm import BaseCenterTrack, apply_lever_arm
 from .matching import (VisitTable, detect_dwells, export_visit_table,
                        import_visit_table, match_visits, visits_from_table)
-from .metrics import AccuracySummary, CheckpointError, summarize
+from .metrics import AccuracySummary, summarize
 from .svg import bar_chart, drift_scatter, trajectory_overlay
-from .trajectory_io import (Checkpoint, GnssStatus, RtkLog, first_rtk_fix,
-                            parse_checkpoints, parse_rtk_log, parse_trajectory)
+from .trajectory_io import (Checkpoint, DeviceCalibration, GnssStatus, RtkLog,
+                            first_rtk_fix, parse_checkpoints, parse_rtk_log,
+                            parse_trajectory)
 
 RTK_METHOD_LABEL = "rtk-standalone"
 
 
 @dataclass(eq=False)
 class MethodResult:
+    """Per visit, in table order: checkpoint id, (V, 3) signed error, its
+    norm, and time (``dt``) and arc length (``dx``) to the nearest fix."""
+
     label: str
     summary: AccuracySummary
-    errors: list[CheckpointError]
-    drift_samples: list[DriftSample]
+    checkpoint_ids: list[str]
+    errors: np.ndarray
+    norms: np.ndarray
+    dt: np.ndarray
+    dx: np.ndarray
     fit_time: Optional[DriftFit]
     fit_distance: Optional[DriftFit]
     skipped_visits: list[str] = field(default_factory=list)
@@ -105,18 +115,42 @@ def detect_visit_table(config: RunConfig, track: BaseCenterTrack,
     return table
 
 
+def load_track(method: MethodSpec, calibration: DeviceCalibration) -> BaseCenterTrack:
+    """One method's trajectory, moved to the base center by the lever arm."""
+    return apply_lever_arm(parse_trajectory(method.trajectory),
+                           calibration.t_imu_to_base)
+
+
+def evaluate_method(label: str, track: BaseCenterTrack, table: VisitTable,
+                    cps: list[Checkpoint], ctx: GeoContext, rtk: RtkLog,
+                    eps0: float) -> tuple[MethodResult, list[str]]:
+    """Score one method at the table's instants; returns the result and the
+    warnings it raised."""
+    warnings: list[str] = []
+    visits = visits_from_table(table, track, cps, ctx)
+    if visits.skipped:
+        warnings.append(f"{label}: skipped {len(visits.skipped)} visit(s) without "
+                        "nearby poses")
+    summary, errors, norms = summarize(visits.est, visits.ref)
+    dt, dx = outage_coordinates(track, rtk, visits.t_rep)
+    fit_t = fit_d = None
+    try:
+        fit_t = fit_drift(dt, norms, eps0)
+        fit_d = fit_drift(dx, norms, eps0)
+    except (InsufficientSamples, AllZeroAbscissa) as exc:
+        warnings.append(f"{label}: no drift fit ({exc})")
+    return MethodResult(label, summary, visits.checkpoint_ids, errors, norms, dt, dx,
+                        fit_t, fit_d, visits.skipped), warnings
+
+
 def evaluate_run(config: RunConfig) -> EvaluationReport:
     warnings: list[str] = []
     cps, rtk, ctx = load_survey(config)
 
-    tracks: dict[str, BaseCenterTrack] = {}
-    for method in config.methods:
-        traj = parse_trajectory(method.trajectory)
-        tracks[method.label] = apply_lever_arm(traj, config.calibration.t_imu_to_base)
+    tracks = {m.label: load_track(m, config.calibration) for m in config.methods}
     if config.include_rtk_method:
         tracks[RTK_METHOD_LABEL] = _rtk_standalone_track(rtk, ctx, config.calibration)
 
-    th = config.thresholds
     if config.visit_table is not None:
         table = import_visit_table(config.visit_table)
         if table.sequence_id and table.sequence_id != config.sequence_id:
@@ -134,23 +168,10 @@ def evaluate_run(config: RunConfig) -> EvaluationReport:
 
     results: list[MethodResult] = []
     for label, track in tracks.items():
-        visits, skipped = visits_from_table(table, track, cps, ctx)
-        if skipped:
-            warnings.append(f"{label}: skipped {len(skipped)} visit(s) without "
-                            "nearby poses")
-        summary, errors, _ = summarize(visits, cps)
-        coords = outage_coordinates(track, rtk, visits)
-        samples = [DriftSample(label, config.sequence_id, v.checkpoint_id,
-                               c.dt_nearest_fix, c.dx_nearest_fix, e.norm)
-                   for v, c, e in zip(visits, coords, errors)]
-        fit_t = fit_d = None
-        try:
-            fit_t = fit_drift([(s.dt_s, s.eps_m) for s in samples], th.eps0)
-            fit_d = fit_drift([(s.dx_m, s.eps_m) for s in samples], th.eps0)
-        except (InsufficientSamples, AllZeroAbscissa) as exc:
-            warnings.append(f"{label}: no drift fit ({exc})")
-        results.append(MethodResult(label, summary, errors, samples,
-                                    fit_t, fit_d, skipped))
+        result, notes = evaluate_method(label, track, table, cps, ctx, rtk,
+                                        config.thresholds.eps0)
+        results.append(result)
+        warnings.extend(notes)
 
     overlay = {label: _track_utm_plane(track, ctx) for label, track in tracks.items()}
     cp_markers = [(cp.id, cp.coord.easting, cp.coord.northing) for cp in cps]
@@ -197,16 +218,16 @@ def report_to_dict(report: EvaluationReport) -> dict:
                     "per_axis_rmse_m": [_m(v) for v in r.summary.per_axis_rmse],
                 },
                 "checkpoint_errors": [
-                    {"cp_id": e.checkpoint_id,
-                     "eps_m": [_m(v) for v in e.eps],
-                     "norm_m": _m(e.norm)}
-                    for e in r.errors
+                    {"cp_id": cp_id, "eps_m": [_m(v) for v in eps], "norm_m": _m(norm)}
+                    for cp_id, eps, norm in zip(r.checkpoint_ids, r.errors.tolist(),
+                                                r.norms.tolist())
                 ],
                 "drift": {
                     "samples": [
-                        {"cp_id": s.cp_id, "dt_s": _m(s.dt_s), "dx_m": _m(s.dx_m),
-                         "eps_m": _m(s.eps_m)}
-                        for s in r.drift_samples
+                        {"cp_id": cp_id, "dt_s": _m(dt), "dx_m": _m(dx),
+                         "eps_m": _m(norm)}
+                        for cp_id, dt, dx, norm in zip(r.checkpoint_ids, r.dt.tolist(),
+                                                       r.dx.tolist(), r.norms.tolist())
                     ],
                     "fit_time": _fit_dict(r.fit_time),
                     "fit_distance": _fit_dict(r.fit_distance),
@@ -241,20 +262,19 @@ def write_report(report: EvaluationReport, outdir: Path | str) -> None:
     writer.writerow(["method", "cp_id", "d_easting_m", "d_northing_m",
                      "d_height_m", "norm_m"])
     for r in report.methods:
-        for e in r.errors:
-            writer.writerow([r.label, e.checkpoint_id, repr(_m(e.eps[0])),
-                             repr(_m(e.eps[1])), repr(_m(e.eps[2])),
-                             repr(_m(e.norm))])
+        for cp_id, eps, norm in zip(r.checkpoint_ids, r.errors.tolist(),
+                                    r.norms.tolist()):
+            writer.writerow([r.label, cp_id, *(repr(_m(v)) for v in (*eps, norm))])
     (outdir / "errors.csv").write_text(buf.getvalue(), encoding="utf-8")
 
-    all_samples = [s for r in report.methods for s in r.drift_samples]
-    write_drift_csv(all_samples, outdir / "drift_samples.csv")
+    write_drift_csv(((r.label, report.sequence_id, *row) for r in report.methods
+                     for row in zip(r.checkpoint_ids, r.dt.tolist(), r.dx.tolist(),
+                                    r.norms.tolist())),
+                    outdir / "drift_samples.csv")
 
     if report.methods:
         first = report.methods[0]
-        labels = [e.checkpoint_id for e in first.errors]
-        values = [e.norm for e in first.errors]
-        svg = bar_chart(labels, values,
+        svg = bar_chart(first.checkpoint_ids, first.norms.tolist(),
                         f"absolute 3D error per checkpoint: {first.label}",
                         "error [m]")
         (outdir / "checkpoint_errors.svg").write_text(svg, encoding="utf-8")
@@ -263,14 +283,8 @@ def write_report(report: EvaluationReport, outdir: Path | str) -> None:
                                  f"trajectories: {report.sequence_id}")
     (outdir / "trajectory_overlay.svg").write_text(overlay, encoding="utf-8")
 
-    series = {}
-    fits = {}
-    for r in report.methods:
-        xs = np.array([s.dt_s for s in r.drift_samples])
-        ys = np.array([s.eps_m for s in r.drift_samples])
-        series[r.label] = (xs, ys)
-        if r.fit_time is not None:
-            fits[r.label] = r.fit_time
+    series = {r.label: (r.dt, r.norms) for r in report.methods}
+    fits = {r.label: r.fit_time for r in report.methods if r.fit_time is not None}
     (outdir / "drift_time.svg").write_text(drift_scatter(series, fits, "time"),
                                            encoding="utf-8")
 

@@ -204,6 +204,8 @@ def _validate(spec: ScenarioSpec) -> None:
             raise InvalidSpec(f"dwell duration {dur} invalid")
         if dur > 0 and not cp_id:
             raise InvalidSpec("dwell with positive duration needs a checkpoint id")
+    if not any(dur > 0 for _, dur in spec.dwells):
+        raise InvalidSpec("the scenario needs at least one dwell with positive duration")
     if spec.speed <= 0 or spec.sample_rate_hz <= 0 or spec.reset_tau_s <= 0:
         raise InvalidSpec("speed, sample_rate_hz and reset_tau_s must be positive")
     if spec.drift_rate < 0 or spec.noise_sigma < 0:

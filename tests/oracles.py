@@ -26,6 +26,10 @@ package under test:
   one scalar geodesy call, one ``np.linalg.norm`` and one full ``argmin`` or
   ``np.min`` scan per dwell or visit; ``matching``, ``drift`` and the
   ``synth`` oracle must reproduce them bit for bit.
+* Checkpoint errors and the accuracy summary: the original path with one
+  error object per visit, looked up by checkpoint id, and the point arrays
+  rebuilt from those objects; ``metrics.summarize`` on columns must
+  reproduce it bit for bit.
 * RTK receiver log: the original per-record chain of scalar geodesy calls
   and ``GeodeticCoord`` objects that built the synthetic log, the
   per-record parser and the per-record writer; ``synth`` and
@@ -40,12 +44,12 @@ import mpmath as mp
 import numpy as np
 
 from geotraj import trajectory_io
-from geotraj.errors import (LookupGapExceeded, MalformedLine, NoCheckpoints,
-                            NonMonotonicTimestamp, UnknownCheckpoint,
-                            UnknownStatus)
+from geotraj.errors import (MalformedLine, NoCheckpoints, NonMonotonicTimestamp,
+                            UnknownCheckpoint, UnknownStatus)
 from geotraj.geodesy import (EnuCoord, EnuOrigin, GeoContext, GeodeticCoord,
                              UtmCoord, enu_to_geodetic, utm_to_geodetic)
 from geotraj.matching import CheckpointVisit, DwellSegment, VisitTable
+from geotraj.metrics import AccuracySummary, aligned_rmse, alignment_gap
 from geotraj.trajectory_io import GnssStatus
 
 mp.mp.dps = 50
@@ -248,12 +252,16 @@ def match_visits_reference(dwells, cps, ctx, gate_radius=1.0, sequence_id="",
     return VisitTable(sequence_id, generator_method, visits, unmatched, unvisited)
 
 
+class LookupGap(Exception):
+    """No sample lies within the lookup gap of a table timestamp."""
+
+
 def pose_at_reference(track, t_rep, max_gap=0.2):
     """Position of the first sample with the smallest |t - t_rep|."""
     idx = int(np.argmin(np.abs(track.t - t_rep)))
     gap = abs(float(track.t[idx]) - t_rep)
     if gap > max_gap:
-        raise LookupGapExceeded(
+        raise LookupGap(
             f"nearest sample is {gap:.3f} s from t={t_rep:.3f} (limit {max_gap} s)")
     return track.p[idx]
 
@@ -273,7 +281,7 @@ def visits_from_table_reference(table, track, cps, ctx, max_gap=0.2):
                                     f"{visit.checkpoint_id!r}")
         try:
             p = pose_at_reference(track, visit.t_rep, max_gap)
-        except LookupGapExceeded as exc:
+        except LookupGap as exc:
             skipped.append(f"{visit.checkpoint_id}@{visit.t_rep:.3f}: {exc}")
             continue
         p_utm = ctx.enu_to_utm(EnuCoord(float(p[0]), float(p[1]), float(p[2])))
@@ -284,21 +292,56 @@ def visits_from_table_reference(table, track, cps, ctx, max_gap=0.2):
     return visits, skipped
 
 
-def outage_coordinates_reference(track, log, visits,
-                                 min_status=GnssStatus.RTK_FIX):
-    """(checkpoint id, dt, dx) per visit, each a full scan over the fixes."""
+def outage_coordinates_reference(track, log, t_rep, min_status=GnssStatus.RTK_FIX):
+    """(dt, dx) per visit instant, each a full scan over the fixes."""
     fix_times = np.array([t for t, status in zip(log.t.tolist(), log.status.tolist())
                           if status >= min_status])
     steps = np.linalg.norm(np.diff(track.p, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     fix_s = np.interp(fix_times, track.t, cum)
     out = []
-    for visit in visits:
-        dt = float(np.min(np.abs(fix_times - visit.t_rep)))
-        s_visit = float(np.interp(visit.t_rep, track.t, cum))
+    for t in t_rep:
+        dt = float(np.min(np.abs(fix_times - t)))
+        s_visit = float(np.interp(t, track.t, cum))
         dx = float(np.min(np.abs(fix_s - s_visit)))
-        out.append((visit.checkpoint_id, dt, dx))
+        out.append((dt, dx))
     return out
+
+
+def summarize_reference(visits, cps):
+    """The per-visit accuracy summary: one (cp_id, eps, norm) error per
+    visit with ``math.hypot`` norms, the squares added left to right, and
+    the point arrays for the aligned metric rebuilt from the visits.
+    Returns (summary, errors)."""
+    by_id = {cp.id: cp for cp in cps}
+    errors = []
+    for visit in visits:
+        cp = by_id.get(visit.checkpoint_id)
+        if cp is None:
+            raise UnknownCheckpoint(f"visit references unknown checkpoint "
+                                    f"{visit.checkpoint_id!r}")
+        eps = (visit.p_est.easting - cp.coord.easting,
+               visit.p_est.northing - cp.coord.northing,
+               visit.p_est.height - cp.coord.height)
+        errors.append((visit.checkpoint_id, eps, math.hypot(*eps)))
+    if not errors:
+        raise NoCheckpoints("absolute RMSE needs at least one checkpoint error")
+    total = 0.0
+    for _, _, norm in errors:
+        total += norm ** 2
+    rmse_abs = math.sqrt(total / len(errors))
+    est = np.array([[v.p_est.easting, v.p_est.northing, v.p_est.height]
+                    for v in visits], dtype=float).reshape(-1, 3)
+    ref = np.array([[by_id[v.checkpoint_id].coord.easting,
+                     by_id[v.checkpoint_id].coord.northing,
+                     by_id[v.checkpoint_id].coord.height] for v in visits],
+                   dtype=float).reshape(-1, 3)
+    rmse_al, _ = aligned_rmse(est, ref)
+    gap = alignment_gap(rmse_abs, rmse_al) if rmse_abs > 0.0 else 0.0
+    axis = np.sqrt(np.mean(np.array([e for _, e, _ in errors]) ** 2, axis=0))
+    summary = AccuracySummary(rmse_abs, rmse_al, gap, len(errors),
+                              (float(axis[0]), float(axis[1]), float(axis[2])))
+    return summary, errors
 
 
 def expected_nearest_reference(t, visit_t, fix_times, cum):

@@ -31,7 +31,7 @@ from geotraj.matching import (
     match_visits,
     visits_from_table,
 )
-from geotraj.metrics import alignment_gap, checkpoint_errors
+from geotraj.metrics import alignment_gap
 from geotraj.report import evaluate_run
 from geotraj.synth import ScenarioSpec, generate, write_scenario
 
@@ -157,7 +157,7 @@ def test_criterion_5_drift_recovery():
     e0, n0, h0 = 513000.0, 5403000.0, 300.0
     line = np.array([[e0 + 90.0 * i, n0, h0] for i in range(5)])
     origin = utm_to_geodetic(UtmCoord(e0, n0, h0, 32))
-    pooled: list[tuple[float, float]] = []
+    pooled_dt, pooled_eps = [], []
     exp_num = exp_den = 0.0
     for seed in range(50):
         spec = ScenarioSpec(
@@ -175,20 +175,19 @@ def test_criterion_5_drift_recovery():
         dws = detect_dwells(apply_lever_arm(sc.truth, np.zeros(3)), 0.05, 5.0)
         table = match_visits(dws, sc.checkpoints, sc.context, 1.0)
         est_track = apply_lever_arm(sc.estimate, np.zeros(3))
-        visits, _ = visits_from_table(table, est_track, sc.checkpoints, sc.context)
-        errs = checkpoint_errors(visits, sc.checkpoints)
-        coords = outage_coordinates(est_track, sc.rtk, visits)
-        pooled.extend(
-            (c.dt_nearest_fix, e.norm) for c, e in zip(coords, errs))
+        visits = visits_from_table(table, est_track, sc.checkpoints, sc.context)
+        dt, _ = outage_coordinates(est_track, sc.rtk, visits.t_rep)
+        pooled_dt.extend(dt)
+        pooled_eps.extend(np.linalg.norm(visits.est - visits.ref, axis=1))
         exp_num += float(np.sum(sc.expected.dt_s * (sc.expected.eps_mean_m - 0.02)))
         exp_den += float(np.sum(sc.expected.dt_s ** 2))
-    alpha_hat = fit_drift(pooled, 0.02).alpha
+    alpha_hat = fit_drift(pooled_dt, pooled_eps, 0.02).alpha
     alpha_exp = exp_num / exp_den
     rel = abs(alpha_hat - alpha_exp) / alpha_exp
     assert rel < 0.10, (alpha_hat, alpha_exp, rel)
     # noise-free control: exact linear data must come back to machine precision
-    exact = [(float(x), 0.02 + 0.004 * x) for x in range(10)]
-    assert abs(fit_drift(exact, 0.02).alpha - 0.004) < 1e-12
+    xs = [float(x) for x in range(10)]
+    assert abs(fit_drift(xs, [0.02 + 0.004 * x for x in xs], 0.02).alpha - 0.004) < 1e-12
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, elapsed
     _pass(5, "drift recovery",
@@ -228,10 +227,10 @@ def test_criterion_6_matching_determinism():
     text = export_visit_table(table)
     reimported = import_visit_table(text.encode())
     assert export_visit_table(reimported) == text
-    second, _ = visits_from_table(reimported, apply_lever_arm(sc.estimate, np.zeros(3)),
-                                  sc.checkpoints, sc.context)
-    assert [v.t_rep for v in second] == [v.t_rep for v in table.visits]
-    assert [v.checkpoint_id for v in second] == [v.checkpoint_id for v in table.visits]
+    second = visits_from_table(reimported, apply_lever_arm(sc.estimate, np.zeros(3)),
+                               sc.checkpoints, sc.context)
+    assert second.t_rep.tolist() == [v.t_rep for v in table.visits]
+    assert second.checkpoint_ids == [v.checkpoint_id for v in table.visits]
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, elapsed
     _pass(6, "matching determinism",

@@ -4,8 +4,6 @@ The reference results come from tests/oracles.py (umeyama_numpy built directly
 on np.linalg.svd), keeping the production Jacobi path independent of the check.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -314,6 +314,19 @@ def test_synth_waypoint_easting_outside_utm_is_invalid_spec(tmp_path, capsys):
         "error: InvalidSpec: waypoint 2 has easting 1000000.0 outside (0, 1e6)"]
 
 
+def test_synth_without_positive_dwell_is_invalid_spec(tmp_path, capsys):
+    doc = _bias_spec().to_dict()
+    doc.update(waypoints=doc["waypoints"][:2], dwells=[["", 0.0], ["", 0.0]])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")])
+    assert rc == 9
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: InvalidSpec: the scenario needs at least one dwell with positive "
+        "duration"]
+
+
 def test_synth_receiver_beyond_84_deg_is_out_of_domain(tmp_path, capsys):
     start = geodetic_to_utm(GeodeticCoord.from_degrees(83.99, 9.0, 50.0), 32)
     doc = _bias_spec().to_dict()

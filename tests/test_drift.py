@@ -15,9 +15,7 @@ from geotraj.drift import (
     write_drift_csv,
 )
 from geotraj.errors import AllZeroAbscissa, InsufficientSamples, NoFixAvailable
-from geotraj.geodesy import UtmCoord
 from geotraj.lever_arm import BaseCenterTrack
-from geotraj.matching import CheckpointVisit
 from geotraj.trajectory_io import GnssStatus, RtkLog
 
 
@@ -27,11 +25,6 @@ def _log(times_status):
     n = len(t)
     return RtkLog(t, np.full(n, np.radians(48.78)), np.full(n, np.radians(9.18)),
                   np.full(n, 300.0), status)
-
-
-def _visit(cp_id, t):
-    return CheckpointVisit(cp_id, float(t),
-                           UtmCoord(513000.0, 5403000.0, 300.0, 32, "north"), 0.0)
 
 
 def _line_track(n=101, speed=1.0):
@@ -44,22 +37,22 @@ def test_nearest_fix_is_two_sided():
     # Fixes at t=0 and t=100; a visit at t=70 is nearer the upcoming fix.
     log = _log([(0.0, GnssStatus.RTK_FIX), (100.0, GnssStatus.RTK_FIX)])
     track = _line_track()
-    coords = outage_coordinates(track, log, [_visit("A", 70.0)])
-    assert coords[0].dt_nearest_fix == 30.0
-    assert coords[0].dx_nearest_fix == 30.0
+    dt, dx = outage_coordinates(track, log, np.array([70.0]))
+    assert dt[0] == 30.0
+    assert dx[0] == 30.0
 
 
 def test_visit_at_fix_has_zero_coordinates():
     log = _log([(50.0, GnssStatus.RTK_FIX)])
-    coords = outage_coordinates(_line_track(), log, [_visit("A", 50.0)])
-    assert coords[0].dt_nearest_fix == 0.0
-    assert coords[0].dx_nearest_fix == 0.0
+    dt, dx = outage_coordinates(_line_track(), log, np.array([50.0]))
+    assert dt[0] == 0.0
+    assert dx[0] == 0.0
 
 
 def test_symmetric_midpoint_dt():
     log = _log([(0.0, GnssStatus.RTK_FIX), (60.0, GnssStatus.RTK_FIX)])
-    coords = outage_coordinates(_line_track(), log, [_visit("A", 30.0)])
-    assert coords[0].dt_nearest_fix == 30.0
+    dt, _ = outage_coordinates(_line_track(), log, np.array([30.0]))
+    assert dt[0] == 30.0
 
 
 def test_distance_axis_follows_path_not_time():
@@ -69,36 +62,34 @@ def test_distance_axis_follows_path_not_time():
     x = np.minimum(t, 40.0) + np.maximum(t - 80.0, 0.0)
     track = BaseCenterTrack(t, np.column_stack([x, np.zeros(101), np.zeros(101)]))
     log = _log([(0.0, GnssStatus.RTK_FIX)])
-    coords = outage_coordinates(track, log, [_visit("A", 70.0)])
-    assert coords[0].dt_nearest_fix == 70.0
-    assert coords[0].dx_nearest_fix == 40.0
+    dt, dx = outage_coordinates(track, log, np.array([70.0]))
+    assert dt[0] == 70.0
+    assert dx[0] == 40.0
 
 
 def test_min_status_filters_low_quality_records():
     log = _log([(0.0, GnssStatus.RTK_FLOAT), (10.0, GnssStatus.RTK_FIX)])
-    coords = outage_coordinates(_line_track(), log, [_visit("A", 2.0)])
-    assert coords[0].dt_nearest_fix == 8.0
-    relaxed = outage_coordinates(_line_track(), log, [_visit("A", 2.0)],
-                                 min_status=GnssStatus.RTK_FLOAT)
-    assert relaxed[0].dt_nearest_fix == 2.0
+    dt, _ = outage_coordinates(_line_track(), log, np.array([2.0]))
+    assert dt[0] == 8.0
+    relaxed, _ = outage_coordinates(_line_track(), log, np.array([2.0]),
+                                    min_status=GnssStatus.RTK_FLOAT)
+    assert relaxed[0] == 2.0
 
 
 def test_no_qualifying_fix_raises():
     log = _log([(0.0, GnssStatus.SINGLE)])
     with pytest.raises(NoFixAvailable):
-        outage_coordinates(_line_track(), log, [_visit("A", 1.0)])
+        outage_coordinates(_line_track(), log, np.array([1.0]))
 
 
 def test_inserting_a_fix_never_increases_dt():
     base = [(0.0, GnssStatus.RTK_FIX), (100.0, GnssStatus.RTK_FIX)]
     more = base + [(60.0, GnssStatus.RTK_FIX)]
     track = _line_track()
-    visits = [_visit("A", 45.0), _visit("B", 70.0), _visit("C", 99.0)]
-    dt_base = [c.dt_nearest_fix
-               for c in outage_coordinates(track, _log(sorted(base)), visits)]
-    dt_more = [c.dt_nearest_fix
-               for c in outage_coordinates(track, _log(sorted(more)), visits)]
-    assert all(m <= b for m, b in zip(dt_more, dt_base))
+    t_rep = np.array([45.0, 70.0, 99.0])
+    dt_base, _ = outage_coordinates(track, _log(sorted(base)), t_rep)
+    dt_more, _ = outage_coordinates(track, _log(sorted(more)), t_rep)
+    assert np.all(dt_more <= dt_base)
     assert dt_more[1] == 10.0
 
 
@@ -106,8 +97,7 @@ def test_exact_linear_data_recovers_slope_exactly():
     eps0 = 0.02
     alpha = 0.00375
     xs = [0.0, 10.0, 25.0, 40.0, 90.0]
-    samples = [(x, eps0 + alpha * x) for x in xs]
-    fit = fit_drift(samples, eps0=eps0)
+    fit = fit_drift(xs, [eps0 + alpha * x for x in xs], eps0=eps0)
     assert fit.alpha == pytest.approx(alpha, abs=1e-12)
     assert fit.eps0 == eps0
     assert fit.n == 5
@@ -121,33 +111,31 @@ def test_fit_scales_linearly_with_abscissa(alpha, k, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(1.0, 200.0, size=12)
     eps = 0.02 + alpha * x + rng.normal(scale=0.005, size=12)
-    a1 = fit_drift(list(zip(x, eps))).alpha
-    a2 = fit_drift(list(zip(k * x, eps))).alpha
+    a1 = fit_drift(x, eps).alpha
+    a2 = fit_drift(k * x, eps).alpha
     assert a2 == pytest.approx(a1 / k, rel=1e-9, abs=1e-12)
 
 
 def test_fit_ignores_points_at_zero_abscissa():
     # x=0 rows contribute nothing to either sum; the slope must not move.
-    samples = [(10.0, 0.06), (20.0, 0.10)]
-    with_zero = samples + [(0.0, 0.5)]
-    assert fit_drift(with_zero).alpha == pytest.approx(
-        fit_drift(samples).alpha, abs=1e-15)
+    assert fit_drift([10.0, 20.0, 0.0], [0.06, 0.10, 0.5]).alpha == pytest.approx(
+        fit_drift([10.0, 20.0], [0.06, 0.10]).alpha, abs=1e-15)
 
 
 def test_fit_error_conditions():
     with pytest.raises(InsufficientSamples):
-        fit_drift([(1.0, 0.1)])
+        fit_drift([1.0], [0.1])
     with pytest.raises(AllZeroAbscissa):
-        fit_drift([(0.0, 0.1), (0.0, 0.2)])
+        fit_drift([0.0, 0.0], [0.1, 0.2])
     with pytest.raises(ValueError):
-        fit_drift([(-1.0, 0.1), (2.0, 0.2)])
+        fit_drift([-1.0, 2.0], [0.1, 0.2])
 
 
 def test_fit_is_least_squares_optimal():
     rng = np.random.default_rng(9)
     x = rng.uniform(0.0, 100.0, size=30)
     eps = 0.02 + 0.004 * x + rng.normal(scale=0.01, size=30)
-    fit = fit_drift(list(zip(x, eps)))
+    fit = fit_drift(x, eps)
 
     def sse(a):
         return float(np.sum((eps - 0.02 - a * x) ** 2))
@@ -219,10 +207,10 @@ def test_outage_coordinates_match_reference(seed, n, n_rec, n_visits, epoch, shu
     log = _log(records)
     vt = np.concatenate([rec_t, t, 0.5 * (t[1:] + t[:-1]),
                          rng.uniform(t[0] - 5.0, t[-1] + 5.0, size=n)])
-    visits = [_visit(f"CP{k}", v) for k, v in enumerate(rng.choice(vt, size=n_visits))]
-    got = outage_coordinates(track, log, visits)
-    assert [(c.checkpoint_id, c.dt_nearest_fix, c.dx_nearest_fix) for c in got] == \
-        outage_coordinates_reference(track, log, visits)
+    t_rep = rng.choice(vt, size=n_visits)
+    dt, dx = outage_coordinates(track, log, t_rep)
+    assert list(zip(dt.tolist(), dx.tolist())) == \
+        outage_coordinates_reference(track, log, t_rep)
 
 
 def test_outage_coordinates_where_interpolated_arc_length_dips():
@@ -240,8 +228,7 @@ def test_outage_coordinates_where_interpolated_arc_length_dips():
     arc = np.interp(fix, t, np.concatenate([[0.0], np.cumsum(np.diff(p[:, 0]))]))
     assert np.any(np.diff(arc) < 0)
     log = _log([(f, GnssStatus.RTK_FIX) for f in fix])
-    visits = [_visit(f"CP{k}", f) for k, f in enumerate(fix)]
-    got = outage_coordinates(track, log, visits)
-    assert [(c.checkpoint_id, c.dt_nearest_fix, c.dx_nearest_fix) for c in got] == \
-        outage_coordinates_reference(track, log, visits)
-    assert all(c.dx_nearest_fix == 0.0 for c in got)
+    dt, dx = outage_coordinates(track, log, fix)
+    assert list(zip(dt.tolist(), dx.tolist())) == \
+        outage_coordinates_reference(track, log, fix)
+    assert np.all(dx == 0.0)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geotraj.errors import (
-    LookupGapExceeded,
     NoCheckpoints,
     SchemaMismatch,
     UnknownCheckpoint,
@@ -21,7 +20,7 @@ from geotraj.matching import (
     export_visit_table,
     import_visit_table,
     match_visits,
-    pose_at,
+    nearest_samples,
     visits_from_table,
 )
 from geotraj.synth import ScenarioSpec, generate
@@ -264,13 +263,16 @@ def test_match_requires_checkpoints():
         match_visits([], [], ctx)
 
 
-def test_pose_at_picks_nearest_sample_or_raises():
-    track = _track([0.0, 0.5, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                                     [2.0, 0.0, 0.0]])
-    assert pose_at(track, 0.4)[0] == 1.0
-    assert pose_at(track, 0.1)[0] == 0.0
-    with pytest.raises(LookupGapExceeded):
-        pose_at(track, 2.0)
+def test_lookup_picks_nearest_sample_or_skips():
+    ctx = _ctx()
+    cps = [_cp_at_enu(ctx, "CP1", 0.0, 0.0, 0.0)]
+    idx, _ = nearest_samples(np.array([0.0, 0.5, 1.0]), np.array([0.4, 0.1]))
+    assert idx.tolist() == [1, 0]
+    table = VisitTable("seq", "slam", [CheckpointVisit("CP1", 2.0, cps[0].coord, 0.0)])
+    visits = visits_from_table(table, _track([0.0, 0.5, 1.0], [[0.0, 0.0, 0.0]] * 3),
+                               cps, ctx)
+    assert visits.checkpoint_ids == []
+    assert len(visits.skipped) == 1
 
 
 def test_visits_from_table_reuses_timestamps_and_recomputes_positions():
@@ -281,10 +283,10 @@ def test_visits_from_table_reuses_timestamps_and_recomputes_positions():
     ])
     # Second method is offset 0.3 m east at the same instants.
     track = _track(np.arange(9.0), [[0.3, 0.0, 0.0]] * 9)
-    visits, skipped = visits_from_table(table, track, cps, ctx)
-    assert skipped == []
-    assert [v.t_rep for v in visits] == [4.0]
-    assert visits[0].distance_to_cp == pytest.approx(0.3, rel=1e-3)
+    visits = visits_from_table(table, track, cps, ctx)
+    assert visits.skipped == []
+    assert visits.t_rep.tolist() == [4.0]
+    assert np.linalg.norm(visits.est[0] - visits.ref[0]) == pytest.approx(0.3, rel=1e-3)
 
 
 def test_visits_from_table_applies_no_gate():
@@ -293,8 +295,8 @@ def test_visits_from_table_applies_no_gate():
     table = VisitTable("seq", "truth",
                        [CheckpointVisit("CP1", 1.0, cps[0].coord, 0.0)])
     track = _track([0.0, 1.0, 2.0], [[500.0, 0.0, 0.0]] * 3)
-    visits, _ = visits_from_table(table, track, cps, ctx)
-    assert visits[0].distance_to_cp > 400.0
+    visits = visits_from_table(table, track, cps, ctx)
+    assert np.linalg.norm(visits.est[0] - visits.ref[0]) > 400.0
 
 
 def test_visits_from_table_unknown_checkpoint():
@@ -313,8 +315,11 @@ def test_visits_from_table_gap_exceeded():
     table = VisitTable("seq", "truth",
                        [CheckpointVisit("CP1", 10.0, cps[0].coord, 0.0)])
     track = _track([0.0, 1.0], [[0.0, 0.0, 0.0]] * 2)
-    assert visits_from_table(table, track, cps, ctx) == (
-        [], ["CP1@10.000: nearest sample is 9.000 s from t=10.000 (limit 0.2 s)"])
+    visits = visits_from_table(table, track, cps, ctx)
+    assert visits.checkpoint_ids == []
+    assert visits.est.shape == visits.ref.shape == (0, 3)
+    assert visits.skipped == [
+        "CP1@10.000: nearest sample is 9.000 s from t=10.000 (limit 0.2 s)"]
 
 
 _IDS = ["CP1", "CP10", "CP2", "A", "b", "cp-07", "Z9", "CP02"]
@@ -425,7 +430,21 @@ def test_visits_from_table_matches_reference(seed, n, count, clock, max_gap, gho
         with pytest.raises(UnknownCheckpoint, match=str(exc)):
             visits_from_table(table, track, cps, ctx, max_gap)
         return
-    assert visits_from_table(table, track, cps, ctx, max_gap) == want
+    got = visits_from_table(table, track, cps, ctx, max_gap)
+    _assert_columns_equal(got, *want, cps)
+
+
+def _assert_columns_equal(got, visits, skipped, cps):
+    """Columns equal, bit for bit, to per-visit objects and skip messages."""
+    by_id = {cp.id: cp.coord for cp in cps}
+    assert got.checkpoint_ids == [v.checkpoint_id for v in visits]
+    assert got.t_rep.tolist() == [v.t_rep for v in visits]
+    assert got.est.tolist() == [[v.p_est.easting, v.p_est.northing, v.p_est.height]
+                                for v in visits]
+    assert got.ref.tolist() == [[by_id[v.checkpoint_id].easting,
+                                 by_id[v.checkpoint_id].northing,
+                                 by_id[v.checkpoint_id].height] for v in visits]
+    assert got.skipped == skipped
 
 
 def test_lookup_tie_and_bound_cases():
@@ -435,20 +454,20 @@ def test_lookup_tie_and_bound_cases():
     cps = [_cp_at_enu(ctx, "CP1", 0.0, 0.0, 0.0)]
     track = _track([0.0, 0.5, 1.0], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                      [2.0, 0.0, 0.0]])
-    assert pose_at(track, 0.25, max_gap=0.25)[0] == 0.0
-    assert pose_at(track, 0.75, max_gap=0.25)[0] == 1.0
-    assert pose_at(track, 1.25, max_gap=0.25)[0] == 2.0
-    assert pose_at(track, -0.25, max_gap=0.25)[0] == 0.0
+    idx, gap = nearest_samples(track.t, np.array([0.25, 0.75, 1.25, -0.25]))
+    assert idx.tolist() == [0, 1, 2, 0]
+    assert gap.tolist() == [0.25] * 4
     table = VisitTable("seq", "slam", [CheckpointVisit("CP1", 1.25, cps[0].coord, 0.0),
                                        CheckpointVisit("CP1", 9.0, cps[0].coord, 0.0)])
-    visits, skipped = visits_from_table(table, track, cps, ctx, max_gap=0.25)
-    assert [v.t_rep for v in visits] == [1.25]
-    assert skipped == ["CP1@9.000: nearest sample is 8.000 s from t=9.000 "
-                       "(limit 0.25 s)"]
+    visits = visits_from_table(table, track, cps, ctx, max_gap=0.25)
+    assert visits.t_rep.tolist() == [1.25]
+    assert visits.skipped == ["CP1@9.000: nearest sample is 8.000 s from t=9.000 "
+                              "(limit 0.25 s)"]
     table.visits.append(CheckpointVisit("GHOST", 0.5, cps[0].coord, 0.0))
     with pytest.raises(UnknownCheckpoint, match="GHOST"):
         visits_from_table(table, track, cps, ctx)
-    assert visits_from_table(VisitTable("seq", "slam", []), track, cps, ctx) == ([], [])
+    _assert_columns_equal(visits_from_table(VisitTable("seq", "slam", []), track, cps, ctx),
+                          [], [], cps)
     assert match_visits([], cps, ctx).visits == []
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geotraj.errors import NoCheckpoints, UndefinedGap, UnknownCheckpoint
+from geotraj.errors import (DegenerateConfiguration, InsufficientPoints, NoCheckpoints,
+                            UndefinedGap)
 from geotraj.geodesy import UtmCoord
 from geotraj.matching import CheckpointVisit
 from geotraj.metrics import (
@@ -19,42 +20,40 @@ from geotraj.metrics import (
     absolute_rmse,
     aligned_rmse,
     alignment_gap,
-    checkpoint_errors,
-    per_axis_rmse,
     summarize,
-    visit_point_pairs,
 )
 from geotraj.trajectory_io import Checkpoint
+from oracles import summarize_reference
 
 E0, N0, H0 = 513000.0, 5403000.0, 300.0
-
-
-def _visit(cp_id, de, dn, dh, t=0.0):
-    return CheckpointVisit(cp_id, t,
-                           UtmCoord(E0 + de, N0 + dn, H0 + dh, 32, "north"),
-                           math.hypot(de, dn, dh))
-
-
-def _cp(cp_id, de=0.0, dn=0.0, dh=0.0):
-    return Checkpoint(cp_id, UtmCoord(E0 + de, N0 + dn, H0 + dh, 32, "north"))
+SQUARE = np.array([[E0, N0, H0], [E0 + 100.0, N0, H0], [E0 + 100.0, N0 + 100.0, H0],
+                   [E0, N0 + 100.0, H0]])
 
 
 def test_three_four_five_error_norm():
-    errors = checkpoint_errors([_visit("A", 3.0, 4.0, 0.0)], [_cp("A")])
-    assert errors[0].eps == (3.0, 4.0, 0.0)
-    assert errors[0].norm == 5.0
-    assert absolute_rmse(errors) == 5.0
+    summary, errors, norms = summarize(SQUARE + [3.0, 4.0, 0.0], SQUARE)
+    assert errors.tolist() == [[3.0, 4.0, 0.0]] * 4
+    assert norms.tolist() == [5.0] * 4
+    assert summary.rmse_absolute == 5.0
 
 
 def test_rmse_is_quadratic_mean_not_mean():
-    errors = checkpoint_errors(
-        [_visit("A", 1.0, 0.0, 0.0), _visit("B", 0.0, 7.0, 0.0)],
-        [_cp("A"), _cp("B")])
-    assert absolute_rmse(errors) == pytest.approx(math.sqrt(25.0), abs=1e-12)
-    axis = per_axis_rmse(errors)
+    assert absolute_rmse([1.0, 7.0]) == pytest.approx(5.0, abs=1e-12)
+    offsets = np.array([[1.0, 0.0, 0.0], [0.0, 7.0, 0.0]] * 2)
+    summary, _, _ = summarize(SQUARE + offsets, SQUARE)
+    assert summary.rmse_absolute == pytest.approx(5.0, abs=1e-12)
+    axis = summary.per_axis_rmse
     assert axis[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert axis[1] == pytest.approx(math.sqrt(24.5), abs=1e-12)
     assert axis[2] == 0.0
+
+
+def test_absolute_rmse_adds_squares_left_to_right():
+    """Each 1e-16 square is lost against 1.0 one at a time; a compensated
+    sum (the builtin ``sum`` from Python 3.12 on) would keep them."""
+    norms = [1.0] + [1e-8] * 100
+    assert absolute_rmse(norms) == math.sqrt(1.0 / 101)
+    assert math.sqrt(math.fsum(v ** 2 for v in norms) / 101) != math.sqrt(1.0 / 101)
 
 
 @pytest.mark.parametrize("rmse_abs,rmse_al,expected", [
@@ -82,47 +81,27 @@ def test_metrics_require_data():
     with pytest.raises(NoCheckpoints):
         absolute_rmse([])
     with pytest.raises(NoCheckpoints):
-        per_axis_rmse([])
-
-
-def test_unknown_checkpoint_rejected():
-    with pytest.raises(UnknownCheckpoint):
-        checkpoint_errors([_visit("GHOST", 0.0, 0.0, 0.0)], [_cp("A")])
-    with pytest.raises(UnknownCheckpoint):
-        visit_point_pairs([_visit("GHOST", 0.0, 0.0, 0.0)], [_cp("A")])
-
-
-def _square_layout(offset):
-    """Four checkpoints on a 100 m square, estimate offset uniformly."""
-    corners = [(0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0)]
-    cps = [_cp(f"C{i}", de, dn) for i, (de, dn) in enumerate(corners)]
-    visits = [
-        CheckpointVisit(f"C{i}", float(i),
-                        UtmCoord(E0 + de + offset[0], N0 + dn + offset[1],
-                                 H0 + offset[2], 32, "north"), 0.0)
-        for i, (de, dn) in enumerate(corners)
-    ]
-    return visits, cps
+        summarize(np.empty((0, 3)), np.empty((0, 3)))
 
 
 def test_constant_offset_fully_absorbed_by_alignment():
-    visits, cps = _square_layout((1.0, 0.0, 0.0))
-    summary, errors, transform = summarize(visits, cps)
+    est = SQUARE + [1.0, 0.0, 0.0]
+    summary, _, _ = summarize(est, SQUARE)
     assert summary.rmse_absolute == pytest.approx(1.0, abs=1e-9)
     assert summary.rmse_aligned < 1e-6
     assert summary.gap_percent == pytest.approx(100.0, abs=1e-3)
     assert summary.gap_rounded == 100
     assert summary.n_points == 4
     # The recovered transform undoes the bias.
+    _, transform = aligned_rmse(est, SQUARE)
     assert transform.t[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_zero_error_summary_has_zero_gap():
-    visits, cps = _square_layout((0.0, 0.0, 0.0))
-    summary, errors, _ = summarize(visits, cps)
+    summary, _, norms = summarize(SQUARE.copy(), SQUARE)
     assert summary.rmse_absolute == 0.0
     assert summary.gap_percent == 0.0
-    assert all(e.norm == 0.0 for e in errors)
+    assert np.all(norms == 0.0)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -148,18 +127,11 @@ def test_gap_invariant_to_rigid_motion_of_estimates(seed):
 @settings(max_examples=60, deadline=None)
 def test_summary_invariant_to_visit_order(seed):
     rng = np.random.default_rng(seed)
-    visits, cps = _square_layout((0.3, -0.2, 0.1))
-    perturbed = [
-        CheckpointVisit(v.checkpoint_id, v.t_rep,
-                        UtmCoord(v.p_est.easting + rng.normal(scale=0.05),
-                                 v.p_est.northing + rng.normal(scale=0.05),
-                                 v.p_est.height, 32, "north"), 0.0)
-        for v in visits
-    ]
-    order = rng.permutation(len(perturbed))
-    shuffled = [perturbed[i] for i in order]
-    s1, _, _ = summarize(perturbed, cps)
-    s2, _, _ = summarize(shuffled, cps)
+    perturbed = SQUARE + [0.3, -0.2, 0.1]
+    perturbed[:, :2] += rng.normal(scale=0.05, size=(4, 2))
+    order = rng.permutation(4)
+    s1, _, _ = summarize(perturbed, SQUARE)
+    s2, _, _ = summarize(perturbed[order], SQUARE[order])
     assert s1.rmse_absolute == pytest.approx(s2.rmse_absolute, rel=1e-12)
     assert s1.rmse_aligned == pytest.approx(s2.rmse_aligned, rel=1e-9, abs=1e-12)
 
@@ -167,18 +139,47 @@ def test_summary_invariant_to_visit_order(seed):
 def test_aligned_never_exceeds_absolute_on_real_layouts():
     rng = np.random.default_rng(77)
     for _ in range(25):
-        visits, cps = _square_layout(tuple(rng.uniform(-2, 2, 3)))
-        noisy = [
-            CheckpointVisit(v.checkpoint_id, v.t_rep,
-                            UtmCoord(v.p_est.easting + rng.normal(scale=0.2),
-                                     v.p_est.northing + rng.normal(scale=0.2),
-                                     v.p_est.height + rng.normal(scale=0.1),
-                                     32, "north"), 0.0)
-            for v in visits
-        ]
-        summary, _, _ = summarize(noisy, cps)
+        noisy = SQUARE + rng.uniform(-2, 2, 3)
+        noisy += rng.normal(scale=[0.2, 0.2, 0.1], size=(4, 3))
+        summary, _, _ = summarize(noisy, SQUARE)
         assert summary.rmse_aligned <= summary.rmse_absolute + 1e-12
         assert summary.gap_percent >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_visits=st.sampled_from([0, 1, 2]) | st.integers(3, 16),
+       n_cps=st.integers(3, 8),
+       layout=st.sampled_from(["spread", "spread", "spread", "collinear"]),
+       scale=st.sampled_from([1e-3, 0.05, 2.0]))
+def test_summarize_matches_per_visit_reference(seed, n_visits, n_cps, layout, scale):
+    """Differential check against the per-visit path: the same summary,
+    errors and norms bit for bit, or the same error class (no visits, one
+    or two points, collinear points). Revisits repeat a checkpoint."""
+    rng = np.random.default_rng(seed)
+    if layout == "collinear":
+        ref_cps = (SQUARE[0] + np.outer(rng.uniform(-80.0, 80.0, n_cps),
+                                        rng.normal(size=3)))
+    else:
+        ref_cps = SQUARE[0] + rng.uniform(-80.0, 80.0, size=(n_cps, 3))
+    which = rng.integers(0, n_cps, size=n_visits)
+    ref = ref_cps[which]
+    offset = rng.normal(scale=scale, size=3)
+    est = ref + (offset if layout == "collinear"
+                 else offset + rng.normal(scale=scale, size=(n_visits, 3)))
+    cps = [Checkpoint(f"CP{k}", UtmCoord(*p, 32, "north")) for k, p in enumerate(ref_cps)]
+    visits = [CheckpointVisit(f"CP{k}", float(i), UtmCoord(*p, 32, "north"), 0.0)
+              for i, (k, p) in enumerate(zip(which, est))]
+    try:
+        want_summary, want_errors = summarize_reference(visits, cps)
+    except (NoCheckpoints, InsufficientPoints, DegenerateConfiguration) as exc:
+        with pytest.raises(type(exc)):
+            summarize(est, ref)
+        return
+    summary, errors, norms = summarize(est, ref)
+    assert summary == want_summary
+    assert errors.tolist() == [list(eps) for _, eps, _ in want_errors]
+    assert norms.tolist() == [norm for _, _, norm in want_errors]
 
 
 def test_gap_rounding_convention():

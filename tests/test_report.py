@@ -101,7 +101,7 @@ def test_no_outage_means_no_drift_fit(tmp_path):
     report = evaluate_run(load_run_config(bundle / "run.json"))
     method = report.methods[0]
     assert method.fit_time is None
-    assert all(s.dt_s == 0.0 for s in method.drift_samples)
+    assert np.all(method.dt == 0.0)
     assert any("no drift fit" in w for w in report.warnings)
 
 

@@ -23,7 +23,6 @@ from geotraj.metrics import summarize
 from geotraj.synth import (
     CHI3_MEAN,
     RTK_RATE_HZ,
-    Scenario,
     ScenarioSpec,
     expected_metrics,
     generate,
@@ -370,8 +369,8 @@ def test_pipeline_matches_generator_oracle_bias_only():
     table = match_visits(dwells, sc.checkpoints, sc.context, gate_radius=2.0,
                          sequence_id="t", generator_method="truth")
     est_track = apply_lever_arm(sc.estimate, np.zeros(3))
-    visits, _ = visits_from_table(table, est_track, sc.checkpoints, sc.context)
-    summary, _, _ = summarize(visits, sc.checkpoints)
+    visits = visits_from_table(table, est_track, sc.checkpoints, sc.context)
+    summary, _, _ = summarize(visits.est, visits.ref)
     em = sc.expected
     assert summary.rmse_absolute == pytest.approx(em.summary.rmse_absolute,
                                                   abs=1e-6)

@@ -18,9 +18,7 @@ from geotraj.errors import (
     ParseError,
     UnknownStatus,
 )
-from geotraj.geodesy import UtmCoord
 from geotraj.trajectory_io import (
-    Checkpoint,
     DeviceCalibration,
     GnssStatus,
     RtkLog,
