@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .alignment import RigidTransform, apply_transform, svd_3x3, umeyama_align
 from .drift import DriftFit, DriftSample, fit_drift, outage_coordinates
 from .errors import GeotrajError
-from .geodesy import (GRS80, EcefCoord, Ellipsoid, EnuCoord, EnuOrigin,
-                      GeoContext, GeodeticCoord, UtmCoord, ecef_to_geodetic,
-                      enu_to_geodetic, geodetic_to_ecef, geodetic_to_enu,
-                      geodetic_to_utm, utm_to_geodetic)
+from .geodesy import (EcefCoord, GeoContext, GeodeticCoord, UtmCoord, ecef_to_geodetic,
+                      geodetic_to_ecef, geodetic_to_utm, utm_to_geodetic)
 from .lever_arm import BaseCenterTrack, apply_lever_arm
 from .matching import (CheckpointVisit, DwellSegment, VisitTable, detect_dwells,
                        export_visit_table, import_visit_table, match_visits,

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import load_run_config
+from .drift import DEFAULT_EPS0, DriftSample, drift_report, fit_drift
 from .errors import (AllZeroAbscissa, ConfigError, DegenerateConfiguration,
                      GeotrajError, InsufficientPoints, InsufficientSamples,
                      InvalidSpec, NoCheckpoints, NoFixAvailable,
@@ -103,8 +104,6 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_drift(args: argparse.Namespace) -> int:
-    from .drift import DriftSample, drift_report, fit_drift
-
     samples: list[DriftSample] = []
     for report_path in args.reports:
         try:
@@ -167,6 +166,13 @@ _UTM_TARGET = re.compile(r"^utm(\d{1,2})(n|s)$")
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    try:
+        return _convert(args)
+    except ValueError as exc:  # a coordinate constructor rejected a value
+        raise ConfigError(str(exc)) from None
+
+
+def _convert(args: argparse.Namespace) -> int:
     values = args.values
     src = args.src.lower()
     dst = args.dst.lower()
@@ -231,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_drift.add_argument("--reports", nargs="+", required=True,
                          help="report.json files to aggregate")
     p_drift.add_argument("--axis", choices=["time", "distance"], default="time")
-    p_drift.add_argument("--eps0", type=float, default=0.02,
-                         help="fixed intercept, meters (default 0.02)")
+    p_drift.add_argument("--eps0", type=float, default=DEFAULT_EPS0,
+                         help="fixed intercept, meters (default %(default)s)")
     p_drift.add_argument("--out", help="output directory")
     p_drift.set_defaults(func=cmd_drift)
 

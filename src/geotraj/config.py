@@ -43,16 +43,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .drift import DEFAULT_EPS0
 from .errors import ConfigError
+from .matching import DEFAULT_GATE_RADIUS, DEFAULT_MIN_DWELL, DEFAULT_STATIONARY_RADIUS
 from .trajectory_io import DeviceCalibration
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    stationary_radius: float = 0.05
-    min_dwell: float = 5.0
-    gate_radius: float = 1.0
-    eps0: float = 0.02
+    stationary_radius: float = DEFAULT_STATIONARY_RADIUS
+    min_dwell: float = DEFAULT_MIN_DWELL
+    gate_radius: float = DEFAULT_GATE_RADIUS
+    eps0: float = DEFAULT_EPS0
 
     def __post_init__(self):
         for name in ("stationary_radius", "min_dwell", "gate_radius", "eps0"):

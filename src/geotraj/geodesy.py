@@ -1,30 +1,50 @@
 """Coordinate transformations among geodetic, ECEF, local ENU, and UTM frames.
 
-Angles are radians internally; file interfaces use degrees. Heights are
-ellipsoidal end to end (no geoid model). The default ellipsoid is GRS80.
-The map projection is Gauss-Krueger / UTM computed with series in the third
-flattening to 6th order, which is far below a millimeter anywhere a UTM zone
-is meant to be used.
+Angles are radians internally; file interfaces use degrees. The reference
+surface is GRS 80, on which ETRS89 is realized, held as module constants;
+heights are above it end to end (no geoid model). The map projection is
+Gauss-Krueger / UTM computed with Karney's (2011, J. Geodesy 85(8)) series in
+the third flattening to 6th order, which is far below a millimeter anywhere a
+UTM zone is meant to be used.
 
-All functions are pure; the scalar API wraps vectorized cores (the ``*_arrays``
-helpers) that the synthetic generator and report rendering use on whole
-tracks. The cores square and cube by multiplying: on a numpy scalar ``**``
-calls libm ``pow``, which can round differently from ``x * x`` and from the
-array loops, so one point would not get the bits it gets in a batch.
+Each conversion has one checked row path: a kernel on arrays that checks the
+domain once per call and raises OutOfDomain for the first row outside it. The
+scalar API (``geodetic_to_utm``, ``utm_to_geodetic``, ``GeoContext.enu_to_utm``)
+is a one-row call of that path, so a point gets the bits alone that it gets in
+any batch. The kernels square and cube by multiplying: ``**`` can call libm
+``pow``, which can round differently from ``x * x``.
+
+ENU offsets come from the tangent-frame rotation in two product forms. The
+row methods (``enu_to_geodetic_rows``, ``utm_to_enu_rows``) multiply each row
+as a stacked (1, 3) @ (3, 3) product, so a row gets the same bits in any
+batch. ``geodetic_to_enu_batch`` and ``utm_to_enu_batch`` take one
+(N, 3) @ (3, 3) product, which can differ in the last bit (on 105,573 of
+200,000 random rows, numpy 2.4.6 on x86-64). The synthetic TUM positions
+and the receiver track that ``report`` evaluates use the 2-D form, so merging
+the forms changes bundle and report bytes and is left to a change that
+declares new bytes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence, OutOfDomain
 
 log = logging.getLogger(__name__)
+
+#: GRS 80: semi-major axis (m), flattening, semi-minor axis (m), first and
+#: second eccentricity squared.
+A = 6378137.0
+F = 1.0 / 298.257222101
+B = A * (1.0 - F)
+E2 = F * (2.0 - F)
+EP2 = E2 / (1.0 - E2)
+_E = math.sqrt(E2)
 
 UTM_SCALE = 0.9996
 UTM_FALSE_EASTING = 500_000.0
@@ -36,41 +56,6 @@ MERIDIAN_LIMIT_RAD = math.radians(10.0)
 UTM_LAT_LIMIT_RAD = math.radians(84.0)
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
-    """Reference ellipsoid given by semi-major axis and flattening."""
-
-    a: float
-    f: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and 0 < self.f < 1):
-            raise ValueError(f"invalid ellipsoid a={self.a} f={self.f}")
-
-    @property
-    def b(self) -> float:
-        return self.a * (1.0 - self.f)
-
-    @property
-    def e2(self) -> float:
-        """First eccentricity squared."""
-        return self.f * (2.0 - self.f)
-
-    @property
-    def ep2(self) -> float:
-        """Second eccentricity squared."""
-        return self.e2 / (1.0 - self.e2)
-
-    @property
-    def n3(self) -> float:
-        """Third flattening."""
-        return self.f / (2.0 - self.f)
-
-
-#: ETRS89 is realized on GRS80.
-GRS80 = Ellipsoid(a=6378137.0, f=1.0 / 298.257222101)
-
-
 def _wrap_longitude(lon):
     """Normalize to (-pi, pi], elementwise on arrays."""
     wrapped = np.fmod(lon + math.pi, 2.0 * math.pi)
@@ -79,7 +64,7 @@ def _wrap_longitude(lon):
 
 @dataclass(frozen=True)
 class GeodeticCoord:
-    """Latitude/longitude in radians, ellipsoidal height in meters."""
+    """Latitude/longitude in radians, height above GRS 80 in meters."""
 
     lat: float
     lon: float
@@ -142,24 +127,6 @@ class EcefCoord:
 
 
 @dataclass(frozen=True)
-class EnuCoord:
-    """East/north/up meters relative to an :class:`EnuOrigin`."""
-
-    e: float
-    n: float
-    u: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.e, self.n, self.u))):
-            raise ValueError("non-finite ENU coordinate")
-
-
-@dataclass(frozen=True)
-class EnuOrigin:
-    origin: GeodeticCoord
-
-
-@dataclass(frozen=True)
 class UtmCoord:
     easting: float
     northing: float
@@ -185,18 +152,18 @@ def _central_meridian(zone: int) -> float:
 # geodetic <-> ECEF
 
 
-def _ecef_from_geodetic_arrays(lat, lon, h, ell: Ellipsoid):
+def _ecef_from_geodetic_arrays(lat, lon, h):
     sin_lat = np.sin(lat)
     cos_lat = np.cos(lat)
-    nu = ell.a / np.sqrt(1.0 - ell.e2 * (sin_lat * sin_lat))
+    nu = A / np.sqrt(1.0 - E2 * (sin_lat * sin_lat))
     x = (nu + h) * cos_lat * np.cos(lon)
     y = (nu + h) * cos_lat * np.sin(lon)
-    z = (nu * (1.0 - ell.e2) + h) * sin_lat
+    z = (nu * (1.0 - E2) + h) * sin_lat
     return x, y, z
 
 
-def geodetic_to_ecef(g: GeodeticCoord, ell: Ellipsoid = GRS80) -> EcefCoord:
-    x, y, z = _ecef_from_geodetic_arrays(g.lat, g.lon, g.h, ell)
+def geodetic_to_ecef(g: GeodeticCoord) -> EcefCoord:
+    x, y, z = _ecef_from_geodetic_arrays(g.lat, g.lon, g.h)
     return EcefCoord(float(x), float(y), float(z))
 
 
@@ -205,7 +172,7 @@ _ECEF_LAT_TOL = 1e-12
 _ECEF_H_TOL = 1e-6
 
 
-def _geodetic_from_ecef_arrays(x, y, z, ell: Ellipsoid):
+def _geodetic_from_ecef_arrays(x, y, z):
     """Vectorized Bowring-seeded fixed point; raises NonConvergence."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -217,23 +184,23 @@ def _geodetic_from_ecef_arrays(x, y, z, ell: Ellipsoid):
         raise NonConvergence("point too close to the geocenter")
 
     # Bowring's parametric-latitude seed.
-    u = np.arctan2(z * ell.a, p * ell.b)
+    u = np.arctan2(z * A, p * B)
     sin_u = np.sin(u)
     cos_u = np.cos(u)
-    lat = np.arctan2(z + ell.ep2 * ell.b * (sin_u * sin_u * sin_u),
-                     p - ell.e2 * ell.a * (cos_u * cos_u * cos_u))
+    lat = np.arctan2(z + EP2 * B * (sin_u * sin_u * sin_u),
+                     p - E2 * A * (cos_u * cos_u * cos_u))
     h = np.zeros_like(lat)
     active = np.ones(np.shape(lat), dtype=bool)
     for _ in range(_ECEF_MAX_ITER):
         sin_lat = np.sin(lat)
         cos_lat = np.cos(lat)
-        nu = ell.a / np.sqrt(1.0 - ell.e2 * (sin_lat * sin_lat))
+        nu = A / np.sqrt(1.0 - E2 * (sin_lat * sin_lat))
         # Height from the dominant trigonometric branch (stable at the poles).
         h_new = np.where(np.abs(cos_lat) > 1e-10,
                          p / np.where(np.abs(cos_lat) > 1e-10, cos_lat, 1.0) - nu,
                          z / np.where(np.abs(sin_lat) > 1e-10, sin_lat, 1.0)
-                         - nu * (1.0 - ell.e2))
-        lat_new = np.arctan2(z, p * (1.0 - ell.e2 * nu / (nu + h_new)))
+                         - nu * (1.0 - E2))
+        lat_new = np.arctan2(z, p * (1.0 - E2 * nu / (nu + h_new)))
         done = (np.abs(lat_new - lat) < _ECEF_LAT_TOL) & (np.abs(h_new - h) < _ECEF_H_TOL)
         # Each point stops at its own convergence step, so it gets the same
         # bits in any batch as on its own.
@@ -246,8 +213,8 @@ def _geodetic_from_ecef_arrays(x, y, z, ell: Ellipsoid):
                          f"{_ECEF_MAX_ITER} iterations")
 
 
-def ecef_to_geodetic(pt: EcefCoord, ell: Ellipsoid = GRS80) -> GeodeticCoord:
-    lat, lon, h = _geodetic_from_ecef_arrays(pt.x, pt.y, pt.z, ell)
+def ecef_to_geodetic(pt: EcefCoord) -> GeodeticCoord:
+    lat, lon, h = _geodetic_from_ecef_arrays(pt.x, pt.y, pt.z)
     return GeodeticCoord(float(lat), float(lon), float(h))
 
 
@@ -266,52 +233,18 @@ def _enu_rotation(origin: GeodeticCoord) -> np.ndarray:
     ])
 
 
-def _geodetic_from_enu_arrays(enu, origin: EnuOrigin, ell: Ellipsoid):
-    """enu: (..., 3) array -> (lat, lon, h) arrays."""
-    enu = np.asarray(enu, dtype=float)
-    rot = _enu_rotation(origin.origin)
-    x0, y0, z0 = _ecef_from_geodetic_arrays(
-        origin.origin.lat, origin.origin.lon, origin.origin.h, ell)
-    # Row by row as (1, 3) @ (3, 3): one (N, 3) product may round otherwise.
-    ecef = (enu[..., None, :] @ rot)[..., 0, :] + np.array([x0, y0, z0])
-    return _geodetic_from_ecef_arrays(ecef[..., 0], ecef[..., 1], ecef[..., 2], ell)
-
-
-def _ecef_delta(lat, lon, h, origin: EnuOrigin, ell: Ellipsoid):
-    """(..., 3) ECEF offsets of geodetic points from the origin."""
-    x0, y0, z0 = _ecef_from_geodetic_arrays(
-        origin.origin.lat, origin.origin.lon, origin.origin.h, ell)
-    x, y, z = _ecef_from_geodetic_arrays(lat, lon, h, ell)
-    return np.stack([x - x0, y - y0, z - z0], axis=-1)
-
-
-def _enu_from_geodetic_arrays(lat, lon, h, origin: EnuOrigin, ell: Ellipsoid):
-    return _ecef_delta(lat, lon, h, origin, ell) @ _enu_rotation(origin.origin).T
-
-
-def enu_to_geodetic(p: EnuCoord, origin: EnuOrigin, ell: Ellipsoid = GRS80) -> GeodeticCoord:
-    lat, lon, h = _geodetic_from_enu_arrays(np.array([p.e, p.n, p.u]), origin, ell)
-    return GeodeticCoord(float(lat), float(lon), float(h))
-
-
-def geodetic_to_enu(g: GeodeticCoord, origin: EnuOrigin, ell: Ellipsoid = GRS80) -> EnuCoord:
-    enu = _enu_from_geodetic_arrays(g.lat, g.lon, g.h, origin, ell)
-    return EnuCoord(float(enu[..., 0]), float(enu[..., 1]), float(enu[..., 2]))
-
-
 # ---------------------------------------------------------------------------
 # transverse Mercator (UTM)
 
 
-@lru_cache(maxsize=8)
-def _tm_coefficients(a: float, f: float):
+def _tm_coefficients():
     """Series coefficients in the third flattening, 6th order.
 
     Returns (rectifying_radius, alpha[1..6], beta[1..6]).
     """
-    n = f / (2.0 - f)
+    n = F / (2.0 - F)
     n2, n3, n4, n5, n6 = n * n, n ** 3, n ** 4, n ** 5, n ** 6
-    rect_radius = a / (1.0 + n) * (1.0 + n2 / 4.0 + n4 / 64.0 + n6 / 256.0)
+    rect_radius = A / (1.0 + n) * (1.0 + n2 / 4.0 + n4 / 64.0 + n6 / 256.0)
     alpha = np.array([
         n / 2.0 - 2.0 / 3.0 * n2 + 5.0 / 16.0 * n3 + 41.0 / 180.0 * n4
         - 127.0 / 288.0 * n5 + 7891.0 / 37800.0 * n6,
@@ -337,17 +270,40 @@ def _tm_coefficients(a: float, f: float):
     return rect_radius, alpha, beta
 
 
-def _utm_from_geodetic_arrays(lat, lon, zone: int, ell: Ellipsoid):
-    """Forward Gauss-Krueger; no domain checks (callers guard)."""
-    lat = np.asarray(lat, dtype=float)
-    lon = np.asarray(lon, dtype=float)
-    rect_radius, alpha, _ = _tm_coefficients(ell.a, ell.f)
-    e = math.sqrt(ell.e2)
+_RECT_RADIUS, _ALPHA, _BETA = _tm_coefficients()
+
+
+def _utm_rows(lat, lon, zone: int):
+    """Checked forward Gauss-Krueger of latitude/longitude arrays: easting
+    and northing arrays.
+
+    Raises OutOfDomain for the first row at or beyond 84 deg latitude, more
+    than 10 deg from the zone's central meridian, or with an easting outside
+    (0, 1e6); logs one warning, for the farthest row, when any lies beyond
+    3.5 deg of the central meridian.
+    """
+    off = np.abs(_wrap_longitude(lon - _central_meridian(zone)))
+    polar = np.abs(lat) >= UTM_LAT_LIMIT_RAD
+    bad = polar | (off > MERIDIAN_LIMIT_RAD)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if polar[k]:
+            raise OutOfDomain(f"latitude {math.degrees(lat[k]):.3f} deg outside UTM "
+                              "domain (|lat| < 84)")
+        raise OutOfDomain(f"longitude {math.degrees(lon[k]):.3f} deg more than 10 deg "
+                          f"from zone {zone} meridian")
+    wide = off > MERIDIAN_WARN_RAD
+    if wide.any():
+        k = int(np.argmax(off))
+        log.warning("%d point(s) lie more than 3.5 deg from the zone %d central "
+                    "meridian, up to %.2f deg (longitude %.3f deg); projection error "
+                    "grows quickly out of zone", int(wide.sum()), zone,
+                    math.degrees(off[k]), math.degrees(lon[k]))
+
     dlam = np.arctan2(np.sin(lon - _central_meridian(zone)),
                       np.cos(lon - _central_meridian(zone)))
-
     tau = np.tan(lat)
-    sigma = np.sinh(e * np.arctanh(e * tau / np.sqrt(1.0 + tau * tau)))
+    sigma = np.sinh(_E * np.arctanh(_E * tau / np.sqrt(1.0 + tau * tau)))
     taup = tau * np.sqrt(1.0 + sigma * sigma) - sigma * np.sqrt(1.0 + tau * tau)
 
     xi_p = np.arctan2(taup, np.cos(dlam))
@@ -356,91 +312,75 @@ def _utm_from_geodetic_arrays(lat, lon, zone: int, ell: Ellipsoid):
     xi = xi_p.copy()
     eta = eta_p.copy()
     for j in range(1, 7):
-        xi = xi + alpha[j - 1] * np.sin(2 * j * xi_p) * np.cosh(2 * j * eta_p)
-        eta = eta + alpha[j - 1] * np.cos(2 * j * xi_p) * np.sinh(2 * j * eta_p)
+        xi = xi + _ALPHA[j - 1] * np.sin(2 * j * xi_p) * np.cosh(2 * j * eta_p)
+        eta = eta + _ALPHA[j - 1] * np.cos(2 * j * xi_p) * np.sinh(2 * j * eta_p)
 
-    easting = UTM_FALSE_EASTING + UTM_SCALE * rect_radius * eta
-    northing = UTM_SCALE * rect_radius * xi
+    easting = UTM_FALSE_EASTING + UTM_SCALE * _RECT_RADIUS * eta
+    northing = UTM_SCALE * _RECT_RADIUS * xi
     northing = np.where(lat < 0.0, northing + UTM_FALSE_NORTHING_SOUTH, northing)
+    outside = ~((easting > 0.0) & (easting < 1_000_000.0))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise OutOfDomain(f"easting {float(easting[k])} outside (0, 1e6) in zone {zone}")
     return easting, northing
 
 
-def _tau_from_taup(taup, e2: float):
+def _tau_from_taup(taup):
     """Invert the conformal-latitude tangent by Newton iteration."""
-    e = math.sqrt(e2)
-    e2m = 1.0 - e2
+    e2m = 1.0 - E2
     tau = taup / e2m
     for _ in range(6):
-        sigma = np.sinh(e * np.arctanh(e * tau / np.sqrt(1.0 + tau * tau)))
+        sigma = np.sinh(_E * np.arctanh(_E * tau / np.sqrt(1.0 + tau * tau)))
         taupa = tau * np.sqrt(1.0 + sigma * sigma) - sigma * np.sqrt(1.0 + tau * tau)
         tau = tau + (taup - taupa) * (1.0 + e2m * (tau * tau)) / (
             e2m * np.sqrt(1.0 + tau * tau) * np.sqrt(1.0 + taupa * taupa))
     return tau
 
 
-def _geodetic_from_utm_arrays(easting, northing, zone: int, northern, ell: Ellipsoid):
-    """Inverse Gauss-Krueger. ``northern`` is a bool or bool array."""
-    easting = np.asarray(easting, dtype=float)
-    northing = np.asarray(northing, dtype=float)
-    rect_radius, _, beta = _tm_coefficients(ell.a, ell.f)
+def _geodetic_rows(easting, northing, zone: int, northern: bool):
+    """Checked inverse Gauss-Krueger of easting/northing arrays: latitude
+    and longitude arrays, neither clamped nor wrapped.
+
+    Raises OutOfDomain for the first row more than 1200 km from the central
+    meridian or whose latitude lands at or beyond 84 deg.
+    """
+    far = np.abs(easting - UTM_FALSE_EASTING) > 1_200_000.0
     northing = np.where(northern, northing, northing - UTM_FALSE_NORTHING_SOUTH)
 
-    xi = northing / (UTM_SCALE * rect_radius)
-    eta = (easting - UTM_FALSE_EASTING) / (UTM_SCALE * rect_radius)
+    xi = northing / (UTM_SCALE * _RECT_RADIUS)
+    eta = (easting - UTM_FALSE_EASTING) / (UTM_SCALE * _RECT_RADIUS)
 
     xi_p = xi.copy()
     eta_p = eta.copy()
     for j in range(1, 7):
-        xi_p = xi_p - beta[j - 1] * np.sin(2 * j * xi) * np.cosh(2 * j * eta)
-        eta_p = eta_p - beta[j - 1] * np.cos(2 * j * xi) * np.sinh(2 * j * eta)
+        xi_p = xi_p - _BETA[j - 1] * np.sin(2 * j * xi) * np.cosh(2 * j * eta)
+        eta_p = eta_p - _BETA[j - 1] * np.cos(2 * j * xi) * np.sinh(2 * j * eta)
 
     sinh_eta, cos_xi = np.sinh(eta_p), np.cos(xi_p)
     taup = np.sin(xi_p) / np.sqrt(sinh_eta * sinh_eta + cos_xi * cos_xi)
-    lat = np.arctan(_tau_from_taup(taup, ell.e2))
+    lat = np.arctan(_tau_from_taup(taup))
     lon = _central_meridian(zone) + np.arctan2(np.sinh(eta_p), np.cos(xi_p))
+
+    bad = far | (np.abs(lat) >= UTM_LAT_LIMIT_RAD)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if far[k]:
+            raise OutOfDomain(f"easting {float(easting[k])} too far from the "
+                              "central meridian")
+        raise OutOfDomain("inverse projection left the UTM latitude domain")
     return lat, lon
 
 
-def _check_utm_domain(lat, lon, zone: int) -> None:
-    """Raise OutOfDomain for the first point outside the UTM domain; log one
-    warning, for the farthest point, when any lies beyond 3.5 deg of the
-    zone's central meridian."""
-    lat = np.atleast_1d(lat)
-    lon = np.atleast_1d(lon)
-    dlam = np.abs(_wrap_longitude(lon - _central_meridian(zone)))
-    polar = np.abs(lat) >= UTM_LAT_LIMIT_RAD
-    bad = polar | (dlam > MERIDIAN_LIMIT_RAD)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if polar[k]:
-            raise OutOfDomain(f"latitude {math.degrees(lat[k]):.3f} deg outside UTM "
-                              "domain (|lat| < 84)")
-        raise OutOfDomain(f"longitude {math.degrees(lon[k]):.3f} deg more than 10 deg "
-                          f"from zone {zone} meridian")
-    wide = dlam > MERIDIAN_WARN_RAD
-    if wide.any():
-        k = int(np.argmax(dlam))
-        log.warning("%d point(s) lie more than 3.5 deg from the zone %d central "
-                    "meridian, up to %.2f deg (longitude %.3f deg); projection error "
-                    "grows quickly out of zone", int(wide.sum()), zone,
-                    math.degrees(dlam[k]), math.degrees(lon[k]))
-
-
-def geodetic_to_utm(g: GeodeticCoord, zone: int, ell: Ellipsoid = GRS80) -> UtmCoord:
-    _check_utm_domain(g.lat, g.lon, zone)
-    easting, northing = _utm_from_geodetic_arrays(g.lat, g.lon, zone, ell)
+def geodetic_to_utm(g: GeodeticCoord, zone: int) -> UtmCoord:
+    easting, northing = _utm_rows(np.array([g.lat]), np.array([g.lon]), zone)
     hemisphere = "north" if g.lat >= 0.0 else "south"
-    return UtmCoord(float(easting), float(northing), g.h, zone, hemisphere)
+    return UtmCoord(float(easting[0]), float(northing[0]), g.h, zone, hemisphere)
 
 
-def utm_to_geodetic(u: UtmCoord, ell: Ellipsoid = GRS80) -> GeodeticCoord:
-    if abs(u.easting - UTM_FALSE_EASTING) > 1_200_000.0:
-        raise OutOfDomain(f"easting {u.easting} too far from the central meridian")
-    lat, lon = _geodetic_from_utm_arrays(
-        u.easting, u.northing, u.zone, u.hemisphere == "north", ell)
-    if abs(lat) >= UTM_LAT_LIMIT_RAD:
-        raise OutOfDomain("inverse projection left the UTM latitude domain")
-    return GeodeticCoord(float(lat), float(lon), u.height)
+def utm_to_geodetic(u: UtmCoord) -> GeodeticCoord:
+    lat, lon = GeodeticCoord.normalize(*_geodetic_rows(
+        np.array([u.easting]), np.array([u.northing]), u.zone, u.hemisphere == "north"))
+    return GeodeticCoord.from_normalized(lat[0], lon[0], u.height)
 
 
 # ---------------------------------------------------------------------------
@@ -449,33 +389,31 @@ def utm_to_geodetic(u: UtmCoord, ell: Ellipsoid = GRS80) -> GeodeticCoord:
 
 @dataclass(frozen=True)
 class GeoContext:
-    """Bundles the ENU origin and UTM zone of one evaluation run."""
+    """The ENU origin and UTM zone of one evaluation run."""
 
-    origin: EnuOrigin
+    origin: GeodeticCoord
     zone: int
     hemisphere: str = "north"
-    ellipsoid: Ellipsoid = field(default=GRS80)
 
-    def enu_to_utm(self, p: EnuCoord) -> UtmCoord:
-        g = enu_to_geodetic(p, self.origin, self.ellipsoid)
-        return geodetic_to_utm(g, self.zone, self.ellipsoid)
-
-    def utm_to_enu(self, u: UtmCoord) -> EnuCoord:
-        g = utm_to_geodetic(u, self.ellipsoid)
-        return geodetic_to_enu(g, self.origin, self.ellipsoid)
+    def enu_to_utm(self, p) -> UtmCoord:
+        """One ENU point ``(e, n, u)``: a one-row call of ``enu_to_utm_coords``."""
+        return self.enu_to_utm_coords(np.array([p], dtype=float))[0]
 
     def enu_to_geodetic_rows(self, pts: np.ndarray):
-        """``enu_to_geodetic`` of each row of an (N, 3) ENU array, in one
-        batch: latitude, longitude and height arrays."""
-        lat, lon, h = _geodetic_from_enu_arrays(pts, self.origin, self.ellipsoid)
+        """Each row of an (N, 3) ENU array to latitude, longitude and height
+        arrays."""
+        pts = np.asarray(pts, dtype=float)
+        x0, y0, z0 = _ecef_from_geodetic_arrays(self.origin.lat, self.origin.lon,
+                                                self.origin.h)
+        # Row by row as (1, 3) @ (3, 3): one (N, 3) product may round otherwise.
+        ecef = (pts[:, None, :] @ _enu_rotation(self.origin))[:, 0, :] + np.array([x0, y0, z0])
+        lat, lon, h = _geodetic_from_ecef_arrays(ecef[:, 0], ecef[:, 1], ecef[:, 2])
         return (*GeodeticCoord.normalize(lat, lon), h)
 
     def _enu_to_utm_arrays(self, pts):
-        """Easting, northing, height and latitude of (N, 3) ENU points, each
-        row as ``enu_to_utm`` computes it for that point alone."""
+        """Easting, northing, height and latitude of (N, 3) ENU points."""
         lat, lon, h = self.enu_to_geodetic_rows(pts)
-        _check_utm_domain(lat, lon, self.zone)
-        easting, northing = _utm_from_geodetic_arrays(lat, lon, self.zone, self.ellipsoid)
+        easting, northing = _utm_rows(lat, lon, self.zone)
         return easting, northing, h, lat
 
     def enu_to_utm_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -484,7 +422,8 @@ class GeoContext:
         return np.stack([easting, northing, h], axis=-1)
 
     def enu_to_utm_coords(self, pts: np.ndarray) -> list[UtmCoord]:
-        """``enu_to_utm`` of each row of an (N, 3) ENU array, in one batch.
+        """Each row of an (N, 3) ENU array as a ``UtmCoord``, hemisphere
+        from the row's latitude.
 
         Raises OutOfDomain for the first row outside the UTM domain.
         """
@@ -494,45 +433,44 @@ class GeoContext:
                                        h.tolist(), lat.tolist())]
 
     def utm_to_geodetic_rows(self, pts: np.ndarray):
-        """``utm_to_geodetic`` of each row of (N, 3) easting/northing/height
-        in this zone and hemisphere, in one batch: latitude, longitude and
-        height arrays.
+        """Each row of (N, 3) easting/northing/height in this zone and
+        hemisphere to latitude, longitude and height arrays.
 
         Raises OutOfDomain for the first row outside the UTM domain.
         """
         pts = np.asarray(pts, dtype=float)
-        easting = pts[:, 0]
-        far = np.abs(easting - UTM_FALSE_EASTING) > 1_200_000.0
-        lat, lon = _geodetic_from_utm_arrays(easting, pts[:, 1], self.zone,
-                                             self.hemisphere == "north", self.ellipsoid)
-        bad = far | (np.abs(lat) >= UTM_LAT_LIMIT_RAD)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if far[k]:
-                raise OutOfDomain(f"easting {float(easting[k])} too far from the "
-                                  "central meridian")
-            raise OutOfDomain("inverse projection left the UTM latitude domain")
+        lat, lon = _geodetic_rows(pts[:, 0], pts[:, 1], self.zone,
+                                  self.hemisphere == "north")
         return (*GeodeticCoord.normalize(lat, lon), pts[:, 2])
 
+    def _ecef_delta(self, lat, lon, h):
+        """(N, 3) ECEF offsets of geodetic points from the origin."""
+        x0, y0, z0 = _ecef_from_geodetic_arrays(self.origin.lat, self.origin.lon,
+                                                self.origin.h)
+        x, y, z = _ecef_from_geodetic_arrays(lat, lon, h)
+        return np.stack([x - x0, y - y0, z - z0], axis=-1)
+
     def utm_to_enu_rows(self, pts: np.ndarray) -> np.ndarray:
-        """``utm_to_enu`` of each row of (N, 3) easting/northing/height, in
-        one batch.
+        """Each row of (N, 3) easting/northing/height to ENU, row by row as
+        (1, 3) @ (3, 3).
 
         Raises OutOfDomain for the first row outside the UTM domain.
         """
-        delta = _ecef_delta(*self.utm_to_geodetic_rows(pts), self.origin, self.ellipsoid)
-        # Row by row as (1, 3) @ (3, 3), as the scalar path multiplies.
-        return (delta[:, None, :] @ _enu_rotation(self.origin.origin).T)[:, 0, :]
+        delta = self._ecef_delta(*self.utm_to_geodetic_rows(pts))
+        return (delta[:, None, :] @ _enu_rotation(self.origin).T)[:, 0, :]
 
     def geodetic_to_enu_batch(self, lat, lon, h) -> np.ndarray:
         """Latitude, longitude (radians) and height arrays -> (N, 3) ENU, as
         one (N, 3) @ (3, 3) product."""
-        return _enu_from_geodetic_arrays(lat, lon, h, self.origin, self.ellipsoid)
+        return self._ecef_delta(lat, lon, h) @ _enu_rotation(self.origin).T
 
     def utm_to_enu_batch(self, pts: np.ndarray) -> np.ndarray:
-        """(N, 3) easting/northing/height -> (N, 3) ENU."""
+        """(N, 3) easting/northing/height -> (N, 3) ENU, as one (N, 3) @ (3, 3)
+        product and without wrapping the longitude.
+
+        Raises OutOfDomain for the first row outside the UTM domain.
+        """
         pts = np.asarray(pts, dtype=float)
-        lat, lon = _geodetic_from_utm_arrays(
-            pts[..., 0], pts[..., 1], self.zone, self.hemisphere == "north",
-            self.ellipsoid)
-        return self.geodetic_to_enu_batch(lat, lon, pts[..., 2])
+        lat, lon = _geodetic_rows(pts[:, 0], pts[:, 1], self.zone,
+                                  self.hemisphere == "north")
+        return self.geodetic_to_enu_batch(lat, lon, pts[:, 2])

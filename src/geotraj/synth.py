@@ -32,8 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidSpec
-from .geodesy import (EnuOrigin, GeoContext, GeodeticCoord, UtmCoord, geodetic_to_utm,
-                      utm_to_geodetic)
+from .drift import DEFAULT_EPS0
+from .geodesy import GeoContext, GeodeticCoord, UtmCoord, geodetic_to_utm, utm_to_geodetic
+from .matching import DEFAULT_MIN_DWELL
 from .metrics import AccuracySummary
 from .trajectory_io import (Checkpoint, DeviceCalibration, GnssStatus, RtkLog,
                             Trajectory)
@@ -182,7 +183,7 @@ class Scenario:
 
     @property
     def context(self) -> GeoContext:
-        return GeoContext(EnuOrigin(self.origin), self.zone, self.hemisphere)
+        return GeoContext(self.origin, self.zone, self.hemisphere)
 
 
 def _validate(spec: ScenarioSpec) -> None:
@@ -331,10 +332,10 @@ def generate(spec: ScenarioSpec) -> Scenario:
     d_antenna = calib.t_imu_to_antenna - calib.t_imu_to_base
 
     # RTK records carry the antenna position: the base point in the ENU frame
-    # of the t=0 base point, shifted by the lever arm. Each row gets the bits
-    # of the scalar utm_to_enu/enu_to_geodetic chain.
-    provisional = GeoContext(EnuOrigin(utm_to_geodetic(
-        UtmCoord(*map(float, truth_utm[0]), spec.zone, hemisphere))), spec.zone, hemisphere)
+    # of the t=0 base point, shifted by the lever arm. The row methods give
+    # each row the bits it gets converted alone.
+    provisional = GeoContext(utm_to_geodetic(
+        UtmCoord(*map(float, truth_utm[0]), spec.zone, hemisphere)), spec.zone, hemisphere)
     n_sec = int(math.floor(total / (1.0 / RTK_RATE_HZ) + 1e-9)) + 1
     ts = np.arange(n_sec) / RTK_RATE_HZ
     base = _positions_at(segments, ts)
@@ -351,7 +352,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
     # record's coordinates after one write/parse round trip through degrees.
     origin = GeodeticCoord.from_degrees(math.degrees(lat[0]), math.degrees(lon[0]),
                                         float(h[0]))
-    ctx = GeoContext(EnuOrigin(origin), spec.zone, hemisphere)
+    ctx = GeoContext(origin, spec.zone, hemisphere)
 
     truth_enu = ctx.utm_to_enu_batch(truth_utm)
     estimate_enu = ctx.utm_to_enu_batch(estimate_utm)
@@ -437,7 +438,7 @@ def _visit_samples(t: np.ndarray, visit_t: np.ndarray, fix_times: np.ndarray,
     return k_idx, dt_s, dx_m
 
 
-def expected_metrics(scenario: Scenario, eps0: float = 0.02) -> ExpectedMetrics:
+def expected_metrics(scenario: Scenario, eps0: float = DEFAULT_EPS0) -> ExpectedMetrics:
     """Brute-force expected values from the generated arrays.
 
     Visits are taken at the sample nearest each dwell midpoint, the same
@@ -534,9 +535,9 @@ def write_scenario(scenario: Scenario, outdir: Path | str,
         },
         "thresholds": {
             "stationary_radius": max(0.05, 6.0 * spec.noise_sigma),
-            "min_dwell": 5.0,
+            "min_dwell": DEFAULT_MIN_DWELL,
             "gate_radius": max(2.0, 2.0 * bias_norm + 10.0 * spec.noise_sigma),
-            "eps0": 0.02,
+            "eps0": DEFAULT_EPS0,
         },
         "output_dir": "out",
         "include_rtk_method": False,

@@ -33,7 +33,7 @@ from .errors import (
     NonMonotonicTimestamp,
     UnknownStatus,
 )
-from .geodesy import EnuOrigin, GeodeticCoord, UtmCoord
+from .geodesy import GeodeticCoord, UtmCoord
 
 Source = Union[str, Path, bytes, IO]
 
@@ -118,7 +118,7 @@ class Checkpoint:
 class RtkLog:
     """The receiver log as (N,) columns: time, latitude and longitude in
     radians (clamped and wrapped as ``GeodeticCoord`` leaves them),
-    ellipsoidal height, and ``GnssStatus`` values."""
+    height above GRS 80, and ``GnssStatus`` values."""
 
     t: np.ndarray
     lat: np.ndarray
@@ -381,13 +381,13 @@ def write_rtk_log(log: RtkLog, sink: Union[str, Path, IO]) -> None:
     _write_text(sink, "t,lat_deg,lon_deg,height,status\n" + body)
 
 
-def first_rtk_fix(log: RtkLog) -> EnuOrigin:
+def first_rtk_fix(log: RtkLog) -> GeodeticCoord:
     """World origin from the earliest RTK_FIX record."""
     fixes = np.flatnonzero(log.status == GnssStatus.RTK_FIX)
     if not fixes.size:
         raise NoFixAvailable("RTK log contains no FIX record")
     k = fixes[0]
-    return EnuOrigin(GeodeticCoord.from_normalized(log.lat[k], log.lon[k], log.h[k]))
+    return GeodeticCoord.from_normalized(log.lat[k], log.lon[k], log.h[k])
 
 
 def _write_text(sink: Union[str, Path, IO], text: str) -> None:

@@ -46,8 +46,7 @@ import numpy as np
 from geotraj import trajectory_io
 from geotraj.errors import (MalformedLine, NoCheckpoints, NonMonotonicTimestamp,
                             UnknownCheckpoint, UnknownStatus)
-from geotraj.geodesy import (EnuCoord, EnuOrigin, GeoContext, GeodeticCoord,
-                             UtmCoord, enu_to_geodetic, utm_to_geodetic)
+from geotraj.geodesy import GeoContext, GeodeticCoord, UtmCoord, utm_to_geodetic
 from geotraj.matching import CheckpointVisit, DwellSegment, VisitTable
 from geotraj.metrics import AccuracySummary, aligned_rmse, alignment_gap
 from geotraj.trajectory_io import GnssStatus
@@ -235,7 +234,7 @@ def match_visits_reference(dwells, cps, ctx, gate_radius=1.0, sequence_id="",
         raise NoCheckpoints("cannot match visits without checkpoints")
     visits, unmatched, visited = [], [], set()
     for seg in dwells:
-        p_utm = ctx.enu_to_utm(EnuCoord(*seg.p_rep))
+        p_utm = ctx.enu_to_utm(seg.p_rep)
         est = np.array([p_utm.easting, p_utm.northing, p_utm.height])
         best = None
         for cp in sorted(cps, key=lambda c: c.id):
@@ -284,7 +283,7 @@ def visits_from_table_reference(table, track, cps, ctx, max_gap=0.2):
         except LookupGap as exc:
             skipped.append(f"{visit.checkpoint_id}@{visit.t_rep:.3f}: {exc}")
             continue
-        p_utm = ctx.enu_to_utm(EnuCoord(float(p[0]), float(p[1]), float(p[2])))
+        p_utm = ctx.enu_to_utm(p)
         dist = float(np.linalg.norm(
             np.array([p_utm.easting, p_utm.northing, p_utm.height])
             - np.array([cp.coord.easting, cp.coord.northing, cp.coord.height])))
@@ -358,11 +357,12 @@ def expected_nearest_reference(t, visit_t, fix_times, cum):
 def rtk_records_reference(segments, total, outage_windows, base0, zone, hemisphere,
                           d_antenna, rate_hz=1.0):
     """(t, GeodeticCoord, GnssStatus) of each receiver record, one record at a
-    time: the plan position at each whole tick, then scalar ``utm_to_enu``,
-    the antenna offset and scalar ``enu_to_geodetic`` in the frame of the
-    plan point ``base0``; ``utm_to_geodetic`` alone without an offset."""
-    provisional = GeoContext(EnuOrigin(utm_to_geodetic(
-        UtmCoord(*map(float, base0), zone, hemisphere))), zone, hemisphere)
+    time: the plan position at each whole tick, then one-row calls of
+    ``utm_to_enu_rows``, the antenna offset and ``enu_to_geodetic_rows`` in
+    the frame of the plan point ``base0``; ``utm_to_geodetic`` alone without
+    an offset."""
+    provisional = GeoContext(utm_to_geodetic(
+        UtmCoord(*map(float, base0), zone, hemisphere)), zone, hemisphere)
     n_sec = int(math.floor(total / (1.0 / rate_hz) + 1e-9)) + 1
     records = []
     for k in range(n_sec):
@@ -372,9 +372,9 @@ def rtk_records_reference(segments, total, outage_windows, base0, zone, hemisphe
         if not np.any(d_antenna):
             g = utm_to_geodetic(u)
         else:
-            e = provisional.utm_to_enu(u)
-            g = enu_to_geodetic(EnuCoord(e.e + d_antenna[0], e.n + d_antenna[1],
-                                         e.u + d_antenna[2]), provisional.origin)
+            e = provisional.utm_to_enu_rows(np.array([[u.easting, u.northing, u.height]]))
+            lat, lon, h = provisional.enu_to_geodetic_rows(e + d_antenna)
+            g = GeodeticCoord.from_normalized(lat[0], lon[0], h[0])
         out = any(a <= t < b for a, b in outage_windows)
         records.append((t, g, GnssStatus.NONE if out else GnssStatus.RTK_FIX))
     return records

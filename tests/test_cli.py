@@ -355,3 +355,50 @@ def test_convert_rejects_unknown_frames(capsys):
                  "1", "2", "3"]) == 2
     assert main(["convert", "--from", "geodetic", "--to", "zone99",
                  "48.0", "9.0", "0.0"]) == 2
+
+
+def _error_lines(capsys) -> list[str]:
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")]
+
+
+def test_evaluate_in_the_wrong_zone_is_out_of_domain(tmp_path, capsys):
+    """A zone 33 survey at 1 deg N, 15 deg E evaluated as zone 32: 6 deg from
+    the zone 32 meridian near the equator, its eastings exceed 1e6."""
+    origin = GeodeticCoord.from_degrees(1.0, 15.0, H0)
+    start = geodetic_to_utm(origin, 33)
+    spec = _bias_spec()
+    spec.origin, spec.zone = origin, 33
+    spec.waypoints = spec.waypoints + [start.easting - E0, start.northing - N0, 0.0]
+    bundle = tmp_path / "bundle"
+    write_scenario(generate(spec), bundle, method_label="slam")
+    config = json.loads((bundle / "run.json").read_text(encoding="utf-8"))
+    config["zone"] = 32
+    (bundle / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    rc = main(["evaluate", "--config", str(bundle / "run.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 8
+    [line] = _error_lines(capsys)
+    assert re.fullmatch(r"error: OutOfDomain: easting 11\d{5}\.\d+ outside \(0, 1e6\) "
+                        r"in zone 32", line)
+
+
+def test_convert_to_the_wrong_zone_is_out_of_domain(capsys):
+    rc = main(["convert", "--from", "geodetic", "--to", "utm32n", "1", "15", "0"])
+    assert rc == 8
+    [line] = _error_lines(capsys)
+    assert re.fullmatch(r"error: OutOfDomain: easting 11687\d\d\.\d+ outside \(0, 1e6\) "
+                        r"in zone 32", line)
+
+
+@pytest.mark.parametrize("frames,values,message", [
+    (("ecef", "geodetic"), ("nan", "0", "0"), "non-finite ECEF coordinate"),
+    (("geodetic", "ecef"), ("95", "0", "0"),
+     "latitude 1.6580627893946132 outside [-pi/2, pi/2]"),
+    (("utm32n", "geodetic"), ("2000000", "0", "0"), "easting 2000000.0 outside (0, 1e6)"),
+    (("geodetic", "utm61n"), ("1", "179", "0"), "UTM zone 61 outside 1..60"),
+])
+def test_convert_out_of_range_values_are_config_errors(frames, values, message, capsys):
+    rc = main(["convert", "--from", frames[0], "--to", frames[1], *values])
+    assert rc == 2
+    assert _error_lines(capsys) == [f"error: ConfigError: {message}"]

@@ -13,17 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from geotraj.errors import NonConvergence, OutOfDomain
 from geotraj.geodesy import (
-    GRS80,
+    B,
+    E2,
     EcefCoord,
-    EnuCoord,
-    EnuOrigin,
     GeoContext,
     GeodeticCoord,
     UtmCoord,
     ecef_to_geodetic,
-    enu_to_geodetic,
     geodetic_to_ecef,
-    geodetic_to_enu,
     geodetic_to_utm,
     utm_to_geodetic,
 )
@@ -119,13 +116,11 @@ enu_coord = st.floats(min_value=-5_000.0, max_value=5_000.0)
 @given(e=enu_coord, n=enu_coord, u=st.floats(min_value=-500.0, max_value=500.0))
 @settings(max_examples=200, deadline=None)
 def test_enu_round_trip(e, n, u):
-    origin = EnuOrigin(GeodeticCoord.from_degrees(48.78, 9.18, 300.0))
-    p = EnuCoord(e, n, u)
-    g = enu_to_geodetic(p, origin)
-    p2 = geodetic_to_enu(g, origin)
-    err = math.dist((p.e, p.n, p.u), (p2.e, p2.n, p2.u))
+    ctx = GeoContext(GeodeticCoord.from_degrees(48.78, 9.18, 300.0), 32)
+    p = np.array([[e, n, u]])
+    p2 = ctx.geodetic_to_enu_batch(*ctx.enu_to_geodetic_rows(p))
     # Absolute bound set by the ECEF->geodetic iteration tolerance.
-    assert err <= 1e-8
+    assert math.dist(p[0], p2[0]) <= 1e-8
 
 
 @given(e1=enu_coord, n1=enu_coord, e2=enu_coord, n2=enu_coord,
@@ -134,34 +129,40 @@ def test_enu_round_trip(e, n, u):
 @settings(max_examples=200, deadline=None)
 def test_enu_is_isometric_with_ecef(e1, n1, u1, e2, n2, u2):
     """The tangent frame is a rigid transform of ECEF: distances match."""
-    origin = EnuOrigin(GeodeticCoord.from_degrees(-20.0, 57.5, 120.0))
-    pa, pb = EnuCoord(e1, n1, u1), EnuCoord(e2, n2, u2)
-    ga, gb = enu_to_geodetic(pa, origin), enu_to_geodetic(pb, origin)
-    ea, eb = geodetic_to_ecef(ga), geodetic_to_ecef(gb)
-    d_enu = math.dist((pa.e, pa.n, pa.u), (pb.e, pb.n, pb.u))
+    ctx = GeoContext(GeodeticCoord.from_degrees(-20.0, 57.5, 120.0), 40, "south")
+    pa, pb = (e1, n1, u1), (e2, n2, u2)
+    lat, lon, h = ctx.enu_to_geodetic_rows(np.array([pa, pb]))
+    ea, eb = (geodetic_to_ecef(GeodeticCoord.from_normalized(lat[k], lon[k], h[k]))
+              for k in (0, 1))
+    d_enu = math.dist(pa, pb)
     d_ecef = math.dist((ea.x, ea.y, ea.z), (eb.x, eb.y, eb.z))
-    # Each enu_to_geodetic call runs the iterative ECEF->geodetic inverse,
-    # so both endpoints carry its absolute tolerance (1e-8, as in the
-    # round-trip test) on top of the exact rotation.
+    # Each row runs the iterative ECEF->geodetic inverse, so both endpoints
+    # carry its absolute tolerance (1e-8, as in the round-trip test) on top
+    # of the exact rotation.
     assert abs(d_enu - d_ecef) <= 1e-8 + 1e-9 * d_enu
 
 
 def test_enu_origin_maps_to_zero():
-    origin = EnuOrigin(GeodeticCoord.from_degrees(48.78, 9.18, 300.0))
-    p = geodetic_to_enu(origin.origin, origin)
-    assert math.hypot(p.e, p.n, p.u) < 1e-9
+    origin = GeodeticCoord.from_degrees(48.78, 9.18, 300.0)
+    ctx = GeoContext(origin, 32)
+    p = ctx.geodetic_to_enu_batch(np.array([origin.lat]), np.array([origin.lon]),
+                                  np.array([origin.h]))
+    assert math.hypot(*p[0]) < 1e-9
+    utm = geodetic_to_utm(origin, 32)
+    p = ctx.utm_to_enu_rows(np.array([[utm.easting, utm.northing, utm.height]]))
+    assert math.hypot(*p[0]) < 1e-9
 
 
 def test_enu_axes_point_where_named():
-    origin = EnuOrigin(GeodeticCoord.from_degrees(47.0, 9.0, 0.0))
-    north = enu_to_geodetic(EnuCoord(0.0, 100.0, 0.0), origin)
-    east = enu_to_geodetic(EnuCoord(100.0, 0.0, 0.0), origin)
-    up = enu_to_geodetic(EnuCoord(0.0, 0.0, 100.0), origin)
-    assert north.lat > origin.origin.lat
-    assert abs(north.lon - origin.origin.lon) < 1e-9
-    assert east.lon > origin.origin.lon
-    assert abs(up.h - 100.0) < 1e-6
-    assert abs(up.lat - origin.origin.lat) < 1e-12
+    origin = GeodeticCoord.from_degrees(47.0, 9.0, 0.0)
+    lat, lon, h = GeoContext(origin, 32).enu_to_geodetic_rows(
+        np.array([[0.0, 100.0, 0.0], [100.0, 0.0, 0.0], [0.0, 0.0, 100.0]]))
+    north, east, up = 0, 1, 2
+    assert lat[north] > origin.lat
+    assert abs(lon[north] - origin.lon) < 1e-9
+    assert lon[east] > origin.lon
+    assert abs(h[up] - 100.0) < 1e-6
+    assert abs(lat[up] - origin.lat) < 1e-12
 
 
 def test_utm_rejects_polar_latitude():
@@ -212,20 +213,20 @@ def test_invalid_coordinate_inputs_rejected():
 
 
 def test_context_batch_matches_scalar():
-    ctx = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(48.78, 9.18, 300.0)), zone=32)
+    ctx = GeoContext(GeodeticCoord.from_degrees(48.78, 9.18, 300.0), zone=32)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2000.0, 2000.0, size=(40, 3))
     batch = ctx.enu_to_utm_batch(pts)
     for row, p in zip(batch, pts):
-        u = ctx.enu_to_utm(EnuCoord(*p))
+        u = ctx.enu_to_utm(p)
         assert math.dist(row, (u.easting, u.northing, u.height)) < 1e-9
     back = ctx.utm_to_enu_batch(batch)
     assert np.max(np.linalg.norm(back - pts, axis=1)) < 1e-8
 
 
 def test_grs80_derived_quantities():
-    assert abs(GRS80.b - 6356752.314140356) < 1e-6
-    assert abs(GRS80.e2 - 0.006694380022900787) < 1e-17
+    assert abs(B - 6356752.314140356) < 1e-6
+    assert abs(E2 - 0.006694380022900787) < 1e-17
 
 
 # (lat deg, lon deg, h, zone, hemisphere): northern hemisphere; southern
@@ -238,20 +239,20 @@ _BATCH_SITES = [(48.78, 9.18, 300.0, 32, "north"),
 
 def _site_ctx(site):
     lat, lon, h, zone, hemisphere = site
-    return GeoContext(EnuOrigin(GeodeticCoord.from_degrees(lat, lon, h)), zone,
-                      hemisphere)
+    return GeoContext(GeodeticCoord.from_degrees(lat, lon, h), zone, hemisphere)
 
 
 @pytest.mark.parametrize("site", _BATCH_SITES)
 def test_batch_enu_to_utm_equals_scalar_bit_for_bit(site):
-    """Every row of one batch equals the scalar conversion of that point,
-    hemisphere included, at offsets from millimetres to 5 km."""
+    """Every row of one batch equals the scalar ``enu_to_utm``, a one-row
+    call, of that point, hemisphere included, at offsets from millimetres to
+    5 km."""
     ctx = _site_ctx(site)
     rng = np.random.default_rng(2024)
     scale = 10.0 ** rng.uniform(-3.0, math.log10(5000.0), size=(500, 1))
     pts = rng.uniform(-1.0, 1.0, size=(500, 3)) * scale
     got = ctx.enu_to_utm_coords(pts)
-    assert got == [ctx.enu_to_utm(EnuCoord(*p)) for p in pts]
+    assert got == [ctx.enu_to_utm(p) for p in pts]
     assert ctx.enu_to_utm_batch(pts).tolist() == \
         [[u.easting, u.northing, u.height] for u in got]
     if site[0] < 0:
@@ -271,48 +272,69 @@ def test_batch_rows_keep_their_own_convergence_step():
 
 
 def test_batch_domain_checks_once_per_call(caplog):
-    off_zone = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(48.0, 14.0, 0.0)), 32)
+    off_zone = GeoContext(GeodeticCoord.from_degrees(48.0, 14.0, 0.0), 32)
     with caplog.at_level("WARNING", logger="geotraj.geodesy"):
         off_zone.enu_to_utm_coords(np.zeros((50, 3)))
     assert sum("central meridian" in rec.message for rec in caplog.records) == 1
     ctx = _site_ctx(_BATCH_SITES[0])
     with pytest.raises(OutOfDomain, match="more than 10 deg"):
         ctx.enu_to_utm_coords(np.array([[0.0, 0.0, 0.0], [900e3, 0.0, 0.0]]))
-    polar = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(84.5, 9.0, 0.0)), 32)
+    polar = GeoContext(GeodeticCoord.from_degrees(84.5, 9.0, 0.0), 32)
     with pytest.raises(OutOfDomain, match="latitude"):
         polar.enu_to_utm_batch(np.zeros((2, 3)))
 
 
-@given(seed=st.integers(0, 2**32 - 1), zone=st.sampled_from([1, 2, 32, 59, 60]),
+def _rows(out) -> np.ndarray:
+    """(N, 3) array of a row method's result, columns stacked if a tuple."""
+    return np.column_stack(out) if isinstance(out, tuple) else out
+
+
+@given(seed=st.integers(0, 2**32 - 1), zone=st.sampled_from([1, 2, 59, 60]),
        south=st.booleans(), lat=st.floats(0.5, 80.0), reach=st.floats(-1.0, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_row_methods_equal_scalar_bit_for_bit(seed, zone, south, lat, reach):
-    """UTM -> geodetic, UTM -> ENU and ENU -> geodetic: each row of a batch
-    equals the scalar API on that point alone, in zones on both sides of
-    +-180 deg, either hemisphere and up to 8 deg from the central meridian
-    (at most ~450 km east or west)."""
+    """Row k of a mixed N-row batch equals the one-row call on that point,
+    bit for bit, for every row method and for the scalar API, in zones on
+    both sides of +-180 deg, either hemisphere and up to 8 deg from the
+    central meridian (at most ~450 km east or west). Offsets from 1 mm to
+    10 km mix rows whose ECEF iteration stops at different steps."""
     hemisphere = "south" if south else "north"
     lon = 6 * zone - 183 + reach * min(8.0, 4.0 / math.cos(math.radians(lat)))
-    ctx = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(-lat if south else lat, lon,
-                                                          120.0)), zone, hemisphere)
-    base = geodetic_to_utm(ctx.origin.origin, zone)
+    ctx = GeoContext(GeodeticCoord.from_degrees(-lat if south else lat, lon, 120.0),
+                     zone, hemisphere)
+    base = geodetic_to_utm(ctx.origin, zone)
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3.0, 4.0, size=(30, 1))
     pts = np.array([base.easting, base.northing, base.height]) + \
         rng.uniform(-1.0, 1.0, size=(30, 3)) * scale
-    utms = [UtmCoord(*map(float, p), zone, hemisphere) for p in pts]
-
-    def columns(coords):
-        return [np.array([getattr(c, name) for c in coords]).tobytes()
-                for name in ("lat", "lon", "h")]
-
-    got = ctx.utm_to_geodetic_rows(pts)
-    assert [c.tobytes() for c in got] == columns([utm_to_geodetic(u) for u in utms])
     enu = ctx.utm_to_enu_rows(pts)
-    assert enu.tolist() == [[e.e, e.n, e.u] for e in map(ctx.utm_to_enu, utms)]
-    got = ctx.enu_to_geodetic_rows(enu)
-    assert [c.tobytes() for c in got] == columns(
-        [enu_to_geodetic(EnuCoord(*p), ctx.origin) for p in enu.tolist()])
+    for method, batch in ((ctx.utm_to_geodetic_rows, pts), (ctx.utm_to_enu_rows, pts),
+                          (ctx.enu_to_geodetic_rows, enu), (ctx.enu_to_utm_batch, enu)):
+        whole = _rows(method(batch))
+        for k in range(len(batch)):
+            assert _rows(method(batch[k:k + 1])).tobytes() == whole[k:k + 1].tobytes()
+
+    geodetic = _rows(ctx.utm_to_geodetic_rows(pts))
+    coords = ctx.enu_to_utm_coords(enu)
+    for k, p in enumerate(pts.tolist()):
+        assert utm_to_geodetic(UtmCoord(*p, zone, hemisphere)) == \
+            GeodeticCoord.from_normalized(*geodetic[k])
+        assert ctx.enu_to_utm(enu[k]) == coords[k]
+        g = GeodeticCoord.from_normalized(*_rows(ctx.enu_to_geodetic_rows(enu[k:k + 1]))[0])
+        assert geodetic_to_utm(g, zone) == coords[k]
+
+
+def test_easting_outside_the_zone_is_out_of_domain():
+    """6 deg east of the zone 32 meridian near the equator lies within the
+    10 deg bound but projects beyond an easting of 1e6."""
+    g = GeodeticCoord.from_degrees(1.0, 15.0, 0.0)
+    with pytest.raises(OutOfDomain, match=r"easting 11687\d\d\.\d+ outside \(0, 1e6\) "
+                                          "in zone 32"):
+        geodetic_to_utm(g, 32)
+    assert 0.0 < geodetic_to_utm(g, 33).easting < 1e6
+    ctx = GeoContext(g, 32)
+    with pytest.raises(OutOfDomain, match="in zone 32"):
+        ctx.enu_to_utm_coords(np.zeros((3, 3)))
 
 
 def test_utm_to_geodetic_rows_raises_for_the_first_row_outside():
@@ -331,7 +353,7 @@ def test_rows_equal_scalar_where_pow_squares_misround():
     """A point where squaring a numpy scalar with ``**`` (libm ``pow``)
     rounded one ulp away from ``x * x``, and the scalar latitude differed
     from the batch one. The kernels multiply, so the two agree."""
-    ctx = GeoContext(EnuOrigin(GeodeticCoord.from_degrees(54.57, -172.68, 0.0)), 1)
+    ctx = GeoContext(GeodeticCoord.from_degrees(54.57, -172.68, 0.0), 1)
     pt = (779501.9514026438, 6055716.75, 0.0)
     lat, lon, h = ctx.utm_to_geodetic_rows(np.array([pt, pt]))
     g = utm_to_geodetic(UtmCoord(*pt, 1))

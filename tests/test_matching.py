@@ -9,8 +9,7 @@ from geotraj.errors import (
     SchemaMismatch,
     UnknownCheckpoint,
 )
-from geotraj.geodesy import (EnuCoord, EnuOrigin, GeoContext, GeodeticCoord, UtmCoord,
-                             utm_to_geodetic)
+from geotraj.geodesy import GeoContext, GeodeticCoord, UtmCoord, utm_to_geodetic
 from geotraj.lever_arm import BaseCenterTrack, apply_lever_arm
 from geotraj.matching import (
     CheckpointVisit,
@@ -30,8 +29,7 @@ from oracles import (detect_dwells_reference, match_visits_reference,
 
 
 def _ctx() -> GeoContext:
-    return GeoContext(EnuOrigin(GeodeticCoord.from_degrees(48.78, 9.18, 300.0)),
-                      zone=32)
+    return GeoContext(GeodeticCoord.from_degrees(48.78, 9.18, 300.0), zone=32)
 
 
 def _track(ts, ps) -> BaseCenterTrack:
@@ -219,7 +217,7 @@ def test_detect_dwells_matches_reference_on_drift_fragments():
 
 
 def _cp_at_enu(ctx, cp_id, e, n, u) -> Checkpoint:
-    p = ctx.enu_to_utm(EnuCoord(e, n, u))
+    p = ctx.enu_to_utm((e, n, u))
     return Checkpoint(cp_id, p)
 
 
@@ -251,7 +249,7 @@ def test_match_prefers_smaller_distance():
 def test_match_tie_breaks_on_lexicographic_id():
     ctx = _ctx()
     dwells = [DwellSegment(0.0, 8.0, (0.0, 0.0, 0.0))]
-    coord = ctx.enu_to_utm(EnuCoord(0.25, 0.0, 0.0))
+    coord = ctx.enu_to_utm((0.25, 0.0, 0.0))
     cps = [Checkpoint("CP9", coord), Checkpoint("CP10", coord)]
     table = match_visits(dwells, cps, ctx)
     assert [v.checkpoint_id for v in table.visits] == ["CP10"]
@@ -481,7 +479,7 @@ def test_visits_from_table_rejects_non_finite_times(bad):
 
 
 def _sample_table(ctx) -> VisitTable:
-    coord = ctx.enu_to_utm(EnuCoord(1.25, -0.5, 0.125))
+    coord = ctx.enu_to_utm((1.25, -0.5, 0.125))
     return VisitTable(
         "2024-05-14-run3", "slam",
         [CheckpointVisit("CP01", 12.375, coord, 0.0421)],

@@ -452,7 +452,7 @@ def test_first_rtk_fix_selects_earliest_fix():
     log = _rtk_log([(0.0, 48.78, 9.18, 300.0, GnssStatus.RTK_FLOAT),
                     (1.0, 48.781, 9.181, 301.0, GnssStatus.RTK_FIX),
                     (2.0, 48.78, 9.18, 300.0, GnssStatus.RTK_FIX)])
-    g = first_rtk_fix(log).origin
+    g = first_rtk_fix(log)
     assert (g.lat, g.lon, g.h) == (log.lat[1], log.lon[1], 301.0)
 
 
