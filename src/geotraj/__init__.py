@@ -9,7 +9,7 @@ expected metrics.
 
 __version__ = "0.1.0"
 
-from .alignment import RigidTransform, apply_transform, svd_3x3, umeyama_align
+from .alignment import RigidTransform, apply_transform, umeyama_align
 from .drift import DriftFit, DriftSample, fit_drift, outage_coordinates
 from .errors import GeotrajError
 from .geodesy import (EcefCoord, GeoContext, GeodeticCoord, UtmCoord, ecef_to_geodetic,

@@ -461,8 +461,10 @@ class GeoContext:
 
     def geodetic_to_enu_batch(self, lat, lon, h) -> np.ndarray:
         """Latitude, longitude (radians) and height arrays -> (N, 3) ENU, as
-        one (N, 3) @ (3, 3) product."""
-        return self._ecef_delta(lat, lon, h) @ _enu_rotation(self.origin).T
+        one (N, 3) @ (3, 3) product (a C-ordered right operand, which numpy
+        hands to BLAS)."""
+        return self._ecef_delta(lat, lon, h) @ np.ascontiguousarray(
+            _enu_rotation(self.origin).T)
 
     def utm_to_enu_batch(self, pts: np.ndarray) -> np.ndarray:
         """(N, 3) easting/northing/height -> (N, 3) ENU, as one (N, 3) @ (3, 3)

@@ -42,12 +42,14 @@ def absolute_rmse(norms: Sequence[float]) -> float:
 
     The squares are added left to right: the builtin ``sum`` compensates
     from Python 3.12 on, which would make the bits depend on the version.
+    Each square is ``v * v``: ``v ** 2`` calls libm ``pow``, whose rounding
+    can differ between platforms.
     """
     if len(norms) == 0:
         raise NoCheckpoints("absolute RMSE needs at least one checkpoint error")
     total = 0.0
     for v in norms:
-        total += v ** 2
+        total += v * v
     return math.sqrt(total / len(norms))
 
 

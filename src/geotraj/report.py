@@ -27,6 +27,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -36,8 +37,8 @@ import numpy as np
 from . import __version__
 from .config import MethodSpec, RunConfig
 from .drift import DriftFit, fit_drift, outage_coordinates, write_drift_csv
-from .errors import InsufficientSamples, AllZeroAbscissa
-from .geodesy import GeoContext
+from .errors import AllZeroAbscissa, InsufficientSamples, OutOfDomain
+from .geodesy import GeoContext, geodetic_to_utm
 from .lever_arm import BaseCenterTrack, apply_lever_arm
 from .matching import (VisitTable, detect_dwells, export_visit_table,
                        import_visit_table, match_visits, visits_from_table)
@@ -48,6 +49,10 @@ from .trajectory_io import (Checkpoint, DeviceCalibration, GnssStatus, RtkLog,
                             parse_trajectory)
 
 RTK_METHOD_LABEL = "rtk-standalone"
+#: Farthest the nearest surveyed checkpoint may lie from the first fix (m).
+#: One UTM zone spans about 70 km or more of longitude below 84 deg latitude,
+#: so a wrong zone moves the projected fix farther than this.
+SURVEY_REACH_M = 50_000.0
 
 
 @dataclass(eq=False)
@@ -94,11 +99,20 @@ def _rtk_standalone_track(rtk: RtkLog, ctx: GeoContext, calibration) -> BaseCent
 
 
 def load_survey(config: RunConfig) -> tuple[list[Checkpoint], RtkLog, GeoContext]:
-    """Checkpoints, RTK log and the frame context anchored at its first fix."""
+    """Checkpoints, RTK log and the frame context anchored at its first fix;
+    OutOfDomain when that fix, projected into the configured zone, lies
+    beyond ``SURVEY_REACH_M`` of every checkpoint."""
     cps = parse_checkpoints(config.checkpoints, config.zone, config.hemisphere)
     rtk = parse_rtk_log(config.rtk_log)
-    ctx = GeoContext(first_rtk_fix(rtk), config.zone, config.hemisphere)
-    return cps, rtk, ctx
+    fix = first_rtk_fix(rtk)
+    u = geodetic_to_utm(fix, config.zone)
+    reach = min((math.hypot(u.easting - cp.coord.easting, u.northing - cp.coord.northing)
+                 for cp in cps), default=0.0)
+    if reach > SURVEY_REACH_M:
+        raise OutOfDomain(f"first fix lies {reach / 1000.0:.1f} km from the nearest "
+                          f"checkpoint in zone {config.zone} (limit "
+                          f"{SURVEY_REACH_M / 1000.0:.0f} km); is the zone right?")
+    return cps, rtk, GeoContext(fix, config.zone, config.hemisphere)
 
 
 def detect_visit_table(config: RunConfig, track: BaseCenterTrack,

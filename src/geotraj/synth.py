@@ -15,7 +15,8 @@ expected error magnitude at every visit is known exactly for the discrete
 process (mean of a 3D Gaussian norm: sqrt(v) * sqrt(8/pi) per axis variance
 v). ``expected_metrics`` recomputes everything straight from the generated
 arrays, deliberately bypassing the parsing/matching/geodesy pipeline it is
-used to validate; its SE(3) alignment uses numpy's SVD, not the toolkit's.
+used to validate; its SE(3) alignment is Horn's quaternion method, not the
+toolkit's SVD.
 
 Output files round-trip through the package's own writers/parsers, and the
 PRNG is pinned (numpy PCG64) so a seed fixes every byte.
@@ -394,24 +395,28 @@ def _positions_at(segments, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _umeyama_numpy(est: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:
-    """Aligned RMSE via numpy's SVD; independent of the alignment module.
-
-    Returns (rmse, ok); ok is False for degenerate/underdetermined input.
+def _horn_align(est: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation R and translation t minimizing sum ||R @ est_i + t - ref_i||^2,
+    by Horn's closed-form quaternion method (Horn 1987, JOSA A 4(4):629):
+    the unit quaternion of R is the top eigenvector of a symmetric 4x4 built
+    from the cross-covariance. Independent of the alignment module's SVD.
     """
-    if est.shape[0] < 3:
-        return float("nan"), False
     mu_e = est.mean(axis=0)
     mu_r = ref.mean(axis=0)
-    H = (est - mu_e).T @ (ref - mu_r) / est.shape[0]
-    U, S, Vt = np.linalg.svd(H)
-    if S[0] <= 0 or S[1] < 1e-9 * S[0]:
-        return float("nan"), False
-    d = math.copysign(1.0, float(np.linalg.det(Vt.T @ U.T)))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-    tvec = mu_r - R @ mu_e
-    res = est @ R.T + tvec - ref
-    return float(np.sqrt(np.mean(np.sum(res ** 2, axis=1)))), True
+    (sxx, sxy, sxz), (syx, syy, syz), (szx, szy, szz) = (est - mu_e).T @ (ref - mu_r)
+    N = np.array([
+        [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+        [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+        [szx - sxz, sxy + syx, syy - sxx - szz, syz + szy],
+        [sxy - syx, szx + sxz, syz + szy, szz - sxx - syy],
+    ])
+    w, x, y, z = np.linalg.eigh(N)[1][:, -1]
+    R = np.array([
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+    ])
+    return R, mu_r - R @ mu_e
 
 
 def _nearest(sorted_x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,15 +467,18 @@ def expected_metrics(scenario: Scenario, eps0: float = DEFAULT_EPS0) -> Expected
     rmse_abs = float(np.sqrt(np.mean(eps_norm ** 2))) if len(eps_norm) else 0.0
     per_axis = (np.sqrt(np.mean(eps_vec ** 2, axis=0)) if len(eps_norm)
                 else np.zeros(3))
+    rmse_al = gap = float("nan")
     if rmse_abs == 0.0:
         # Perfect estimate: alignment has nothing to absorb.
         rmse_al, gap = 0.0, 0.0
-    else:
-        rmse_al, ok = _umeyama_numpy(est, ref)
-        if not ok:
-            rmse_al = float("nan")
-            gap = float("nan")
-        else:
+    elif len(est) >= 3:
+        # No fit either for a cross-covariance of rank < 2.
+        S = np.linalg.svd((est - est.mean(axis=0)).T @ (ref - ref.mean(axis=0)),
+                          compute_uv=False)
+        if S[0] > 0.0 and S[1] >= 1e-9 * S[0]:
+            R, tvec = _horn_align(est, ref)
+            res = est @ R.T + tvec - ref
+            rmse_al = float(np.sqrt(np.mean(np.sum(res ** 2, axis=1))))
             gap = 100.0 * (1.0 - rmse_al / rmse_abs)
     summary = AccuracySummary(rmse_abs, rmse_al, gap, len(eps_norm),
                               (float(per_axis[0]), float(per_axis[1]), float(per_axis[2])))

@@ -13,8 +13,8 @@ package under test:
   high-order quadrature along a straight path from the real axis, with the
   (complex) geodetic latitude recovered from psi by Newton iteration at
   every quadrature node.  Accuracy is limited only by mpmath precision.
-* Rigid alignment residuals: plain numpy SVD (the package uses its own
-  Jacobi kernel).
+* Rigid alignment: Horn's closed-form quaternion method, the top
+  eigenvector of a symmetric 4x4 (the package takes Umeyama's SVD route).
 * Dwell detection: the original greedy scan that recomputes ``np.median``
   for every grown window, with no bounds or prefilter; the package's
   ``detect_dwells`` must return exactly the same segments.
@@ -49,6 +49,8 @@ from geotraj.errors import (MalformedLine, NoCheckpoints, NonMonotonicTimestamp,
 from geotraj.geodesy import GeoContext, GeodeticCoord, UtmCoord, utm_to_geodetic
 from geotraj.matching import CheckpointVisit, DwellSegment, VisitTable
 from geotraj.metrics import AccuracySummary, aligned_rmse, alignment_gap
+# Reference rigid alignment, the synthetic oracle's own: (R, t) of est onto ref.
+from geotraj.synth import _horn_align as horn_alignment
 from geotraj.trajectory_io import GnssStatus
 
 mp.mp.dps = 50
@@ -131,21 +133,6 @@ def tm_oracle(lat_deg, lon_deg, zone, a=GRS80_A, f=GRS80_F,
 def chi3_mean(sigma):
     """E||X|| for X ~ N(0, sigma^2 I_3)."""
     return float(sigma) * float(mp.sqrt(8 / mp.pi))
-
-
-def umeyama_numpy(est, ref):
-    """Reference rigid alignment via numpy SVD; returns (R, t, rmse)."""
-    est = np.asarray(est, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    mu_e = est.mean(axis=0)
-    mu_r = ref.mean(axis=0)
-    cov = (est - mu_e).T @ (ref - mu_r) / len(est)
-    u, _, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    trans = mu_r - rot @ mu_e
-    res = est @ rot.T + trans - ref
-    return rot, trans, float(np.sqrt((res ** 2).sum(axis=1).mean()))
 
 
 def detect_dwells_reference(track, stationary_radius=0.05, min_dwell=5.0):

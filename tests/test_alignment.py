@@ -1,21 +1,16 @@
-"""Rigid alignment: generate-and-recover trials, SVD properties, degeneracy.
+"""Rigid alignment: generate-and-recover trials, invariances, degeneracy.
 
-The reference results come from tests/oracles.py (umeyama_numpy built directly
-on np.linalg.svd), keeping the production Jacobi path independent of the check.
+The reference results come from tests/oracles.py (horn_alignment, Horn's
+quaternion method), keeping the production SVD path independent of the check.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geotraj.alignment import (
-    RigidTransform,
-    apply_transform,
-    svd_3x3,
-    umeyama_align,
-)
+from geotraj.alignment import RigidTransform, apply_transform, umeyama_align
 from geotraj.errors import DegenerateConfiguration, InsufficientPoints
-from oracles import umeyama_numpy
+from oracles import horn_alignment
 
 
 def _random_rotation(rng) -> np.ndarray:
@@ -32,6 +27,10 @@ def _compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     return RigidTransform(a.R @ b.R, a.R @ b.t + a.t)
 
 
+def _inverse(a: RigidTransform) -> RigidTransform:
+    return RigidTransform(a.R.T, -a.R.T @ a.t)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60))
 @settings(max_examples=150, deadline=None)
 def test_exact_recovery_of_random_rigid_motion(seed, n):
@@ -45,16 +44,19 @@ def test_exact_recovery_of_random_rigid_motion(seed, n):
     assert abs(np.linalg.det(T.R) - 1.0) < 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1))
+@given(seed=st.integers(0, 2**32 - 1), coplanar=st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_matches_reference_solver_under_noise(seed):
+def test_matches_reference_solver_under_noise(seed, coplanar):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 30))
     est = rng.uniform(-50.0, 50.0, size=(n, 3))
+    if coplanar:
+        # All points at one height, as every synthetic checkpoint set is.
+        est[:, 2] = 300.0
     ref = est @ _random_rotation(rng).T + rng.uniform(-20, 20, size=3)
     ref = ref + rng.normal(scale=0.05, size=ref.shape)
     T = umeyama_align(est, ref)
-    R_ref, t_ref, _ = umeyama_numpy(est, ref)
+    R_ref, t_ref = horn_alignment(est, ref)
     assert np.max(np.abs(T.R - R_ref)) < 1e-9
     assert np.max(np.abs(T.t - t_ref)) < 1e-9
 
@@ -123,51 +125,9 @@ def test_conjugation_invariance(seed):
     G = RigidTransform(_random_rotation(rng), rng.uniform(-50, 50, 3))
     T1 = umeyama_align(est, ref)
     T2 = umeyama_align(apply_transform(G, est), apply_transform(G, ref))
-    expected = _compose(_compose(G, T1), G.inverse())
+    expected = _compose(_compose(G, T1), _inverse(G))
     assert np.max(np.abs(T2.R - expected.R)) < 1e-8
     assert np.max(np.abs(T2.t - expected.t)) < 1e-7
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_svd_reconstructs_and_is_orthogonal(seed):
-    rng = np.random.default_rng(seed)
-    M = rng.uniform(-10.0, 10.0, size=(3, 3))
-    U, S, V = svd_3x3(M)
-    assert np.max(np.abs(U @ np.diag(S) @ V.T - M)) < 1e-11 * max(1.0, np.max(np.abs(M)))
-    assert np.max(np.abs(U.T @ U - np.eye(3))) < 1e-12
-    assert np.max(np.abs(V.T @ V - np.eye(3))) < 1e-12
-    assert S[0] >= S[1] >= S[2] >= 0.0
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_svd_singular_values_match_numpy(seed):
-    rng = np.random.default_rng(seed)
-    M = rng.normal(scale=5.0, size=(3, 3))
-    _, S, _ = svd_3x3(M)
-    S_np = np.linalg.svd(M, compute_uv=False)
-    assert np.max(np.abs(S - S_np)) < 1e-10 * max(1.0, S_np[0])
-
-
-@pytest.mark.parametrize("M", [
-    np.zeros((3, 3)),
-    np.diag([2.0, 0.0, 0.0]),
-    np.diag([3.0, 1e-18, 0.0]),
-    np.outer([1.0, 1.0, 0.0], [0.0, 2.0, 1.0]),
-])
-def test_svd_rank_deficient_inputs(M):
-    U, S, V = svd_3x3(M)
-    assert np.max(np.abs(U @ np.diag(S) @ V.T - M)) < 1e-12 * max(1.0, np.max(np.abs(M)))
-    assert np.max(np.abs(U.T @ U - np.eye(3))) < 1e-12
-    assert np.max(np.abs(V.T @ V - np.eye(3))) < 1e-12
-
-
-def test_svd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        svd_3x3(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        svd_3x3(np.full((3, 3), np.nan))
 
 
 def test_rigid_transform_validation_and_algebra():
@@ -177,8 +137,8 @@ def test_rigid_transform_validation_and_algebra():
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
     rng = np.random.default_rng(2)
     T = RigidTransform(_random_rotation(rng), rng.uniform(-3, 3, 3))
-    eye = _compose(T, T.inverse())
+    eye = _compose(T, _inverse(T))
     assert np.max(np.abs(eye.R - np.eye(3))) < 1e-12
     assert np.max(np.abs(eye.t)) < 1e-12
     p = rng.uniform(-5, 5, size=(7, 3))
-    assert np.max(np.abs(apply_transform(T.inverse(), apply_transform(T, p)) - p)) < 1e-12
+    assert np.max(np.abs(apply_transform(_inverse(T), apply_transform(T, p)) - p)) < 1e-12

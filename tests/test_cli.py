@@ -383,6 +383,26 @@ def test_evaluate_in_the_wrong_zone_is_out_of_domain(tmp_path, capsys):
                         r"in zone 32", line)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "match"])
+def test_wrong_zone_away_from_the_equator_is_out_of_domain(bias_bundle, tmp_path,
+                                                           capsys, command):
+    """The zone 32 survey at 48.8 deg N, 9.2 deg E read as zone 31: the
+    eastings stay inside (0, 1e6), but the first fix projects hundreds of km
+    from every checkpoint."""
+    config = json.loads((bias_bundle / "run.json").read_text(encoding="utf-8"))
+    config.update(zone=31, checkpoints=str(bias_bundle / config["checkpoints"]),
+                  rtk_log=str(bias_bundle / config["rtk_log"]))
+    for method in config["methods"]:
+        method["trajectory"] = str(bias_bundle / method["trajectory"])
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(config), encoding="utf-8")
+    rc = main([command, "--config", str(run), "--out", str(tmp_path / "out")])
+    assert rc == 8
+    [line] = _error_lines(capsys)
+    assert re.fullmatch(r"error: OutOfDomain: first fix lies \d+\.\d km from the nearest "
+                        r"checkpoint in zone 31 \(limit 50 km\); is the zone right\?", line)
+
+
 def test_convert_to_the_wrong_zone_is_out_of_domain(capsys):
     rc = main(["convert", "--from", "geodetic", "--to", "utm32n", "1", "15", "0"])
     assert rc == 8

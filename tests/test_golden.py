@@ -42,7 +42,7 @@ GOLDEN = {
         "errors.csv":
             "58caddef012ebaaa86ef045b7cc51fab88b16872661ef16dde19429a89ca7898",
         "report.json":
-            "eac6839d252fc5d1eb7283d232a633e2cb664015827883b7fab75f810429a7cc",
+            "853b15bf3f576fe909406a109aba70e0bee1676d36668737e28df28cb744de7a",
         "trajectory_overlay.svg":
             "b379e6d50f8703a41e6b6680016a8bb34b7d5040a413b3ebf915b10a4ff79f2a",
         "visit_table.json":
@@ -58,7 +58,7 @@ GOLDEN = {
         "errors.csv":
             "3176d0449377a9544bcbdba476c020f1970e2d4b97a48b44380591f81b26b195",
         "report.json":
-            "a18ef4fd0720f9f61214e9682b37315b69b2e854000b4fd7a58a2126ebaacc37",
+            "f33e716d8d0582631519832d2e63bd21fe759b92e91270c445bf9ee5a217d12f",
         "trajectory_overlay.svg":
             "30dc37704e7fade0f08af76970bb962aa68d8343fc185fcb2c4c39f1f52ca1ad",
         "visit_table.json":

@@ -49,11 +49,15 @@ def test_rmse_is_quadratic_mean_not_mean():
 
 
 def test_absolute_rmse_adds_squares_left_to_right():
-    """Each 1e-16 square is lost against 1.0 one at a time; a compensated
-    sum (the builtin ``sum`` from Python 3.12 on) would keep them."""
-    norms = [1.0] + [1e-8] * 100
-    assert absolute_rmse(norms) == math.sqrt(1.0 / 101)
-    assert math.sqrt(math.fsum(v ** 2 for v in norms) / 101) != math.sqrt(1.0 / 101)
+    """Each 1e-16 square is lost against the running total one at a time; a
+    compensated sum (the builtin ``sum`` from Python 3.12 on) would keep
+    them. The first norm squares as ``v * v``: with glibc on x86-64,
+    ``v ** 2`` (libm ``pow``) rounds it one ulp away, which moves the RMSE."""
+    v = 1.6869877081762243
+    norms = [v, 1.0] + [1e-8] * 100
+    expected = math.sqrt((v * v + 1.0) / 102)
+    assert absolute_rmse(norms) == expected
+    assert math.sqrt(math.fsum(x * x for x in norms) / 102) != expected
 
 
 @pytest.mark.parametrize("rmse_abs,rmse_al,expected", [
