@@ -15,9 +15,8 @@ from .errors import GeotrajError
 from .geodesy import (EcefCoord, GeoContext, GeodeticCoord, UtmCoord, ecef_to_geodetic,
                       geodetic_to_ecef, geodetic_to_utm, utm_to_geodetic)
 from .lever_arm import BaseCenterTrack, apply_lever_arm
-from .matching import (CheckpointVisit, DwellSegment, VisitTable, detect_dwells,
-                       export_visit_table, import_visit_table, match_visits,
-                       visits_from_table)
+from .matching import (CheckpointVisit, VisitTable, detect_dwells, export_visit_table,
+                       import_visit_table, match_visits, visits_from_table)
 from .metrics import (AccuracySummary, absolute_rmse, aligned_rmse, alignment_gap,
                       summarize)
 from .synth import Scenario, ScenarioSpec, expected_metrics, generate

@@ -147,7 +147,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read spec {args.spec}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"spec {args.spec} is not valid JSON: {exc}") from None
     spec = ScenarioSpec.from_dict(doc)
     if args.seed is not None:

@@ -115,7 +115,7 @@ def load_run_config(path: Path | str) -> RunConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")

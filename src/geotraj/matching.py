@@ -1,9 +1,10 @@
 """Dwell detection and checkpoint association.
 
-A dwell is a maximal stretch of samples that all stay within
-``stationary_radius`` of the stretch's componentwise median and that lasts at
-least ``min_dwell`` seconds. Each dwell's median position is matched to the
-nearest surveyed checkpoint within ``gate_radius`` (3D distance in UTM).
+A dwell is a maximal run of samples ``first..last`` that all stay within
+``stationary_radius`` of the run's componentwise median and that lasts at
+least ``min_dwell`` seconds. Each run's median position is matched to the
+nearest surveyed checkpoint within ``gate_radius`` (3D distance in UTM), at
+the instant ``t_rep = (t[first] + t[last]) / 2``.
 
 The resulting visit table fixes the evaluation timestamps. It can be exported
 to JSON and re-imported so every method is evaluated at identical instants;
@@ -17,15 +18,14 @@ import json
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NoCheckpoints, SchemaMismatch, UnknownCheckpoint
 from .geodesy import GeoContext, UtmCoord
 from .lever_arm import BaseCenterTrack
-from .trajectory_io import Checkpoint
+from .trajectory_io import Checkpoint, Source, _decode, _read_source
 
 DEFAULT_STATIONARY_RADIUS = 0.05
 DEFAULT_MIN_DWELL = 5.0
@@ -44,21 +44,6 @@ _FIRST_CHUNK = 32
 #: Dwells per distance block in ``match_visits``: bounds the (dwells,
 #: checkpoints, 3) difference array.
 _MATCH_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class DwellSegment:
-    t_start: float
-    t_end: float
-    p_rep: tuple[float, float, float]
-
-    @property
-    def t_mid(self) -> float:
-        return 0.5 * (self.t_start + self.t_end)
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
 
 
 @dataclass(frozen=True)
@@ -86,24 +71,26 @@ class VisitTable:
     sequence_id: str
     generator_method: str
     visits: list[CheckpointVisit]
-    unmatched_segments: list[DwellSegment] = field(default_factory=list)
+    #: Unmatched dwells, (U, 5) rows ``t_start, t_end, e, n, u`` (median ENU).
+    unmatched_segments: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     unvisited_checkpoints: list[str] = field(default_factory=list)
     params: dict = field(default_factory=dict)
 
 
 def detect_dwells(track: BaseCenterTrack,
                   stationary_radius: float = DEFAULT_STATIONARY_RADIUS,
-                  min_dwell: float = DEFAULT_MIN_DWELL) -> list[DwellSegment]:
-    """Greedy maximal-window scan for dwells.
+                  min_dwell: float = DEFAULT_MIN_DWELL) -> np.ndarray:
+    """Greedy maximal-window scan for dwells: a ``(K, 2)`` ``np.intp`` array of
+    inclusive ``(first, last)`` sample indices, one row per dwell, in order.
 
     From a start ``i``, the window ``p[i..j]`` grows one sample at a time
     while every sample lies within ``stationary_radius`` (r) of
     ``np.median(p[i..j], axis=0)``; the first failing ``j`` ends it at
-    ``last = j - 1``. If ``t[last] - t[i] >= min_dwell`` the window is a dwell,
-    represented by the median of ``p[i..last]``, and the scan resumes at
-    ``last + 1``; otherwise it resumes at ``i + 1``.
+    ``last = j - 1``. If ``t[last] - t[i] >= min_dwell`` the run ``(i, last)``
+    is a dwell and the scan resumes at ``last + 1``; otherwise it resumes at
+    ``i + 1``.
 
-    Two bounds skip most medians without changing any segment:
+    Two bounds skip most medians without changing any dwell:
 
     * Horizon prefilter. A start yields a dwell only if its window up to the
       ``min_dwell`` horizon passes. The componentwise median lies inside the
@@ -136,25 +123,21 @@ def detect_dwells(track: BaseCenterTrack,
         raise ValueError("stationary_radius and min_dwell must be positive")
     t = track.t
     p = track.p
-    if len(t) < 2:
-        return []
     if not np.all(np.diff(t) > 0):
         raise ValueError("track timestamps must be strictly increasing")
     if not (np.isfinite(t).all() and np.isfinite(p).all()):
         raise ValueError("track times and positions must be finite")
     starts = _horizon_starts(t, p, stationary_radius, min_dwell)
-    segments: list[DwellSegment] = []
+    runs: list[tuple[int, int]] = []
     i = 0
     while True:
         k = int(np.searchsorted(starts, i))
         if k == len(starts):
-            return segments
+            return np.array(runs, dtype=np.intp).reshape(-1, 2)
         i = int(starts[k])
         last = _grow_window(p, i, stationary_radius)
         if last > i and t[last] - t[i] >= min_dwell:
-            med = np.median(p[i:last + 1], axis=0)
-            segments.append(DwellSegment(float(t[i]), float(t[last]),
-                                         (float(med[0]), float(med[1]), float(med[2]))))
+            runs.append((i, last))
             i = last + 1
         else:
             i += 1
@@ -243,10 +226,12 @@ def _grow_window(p: np.ndarray, i: int, radius: float) -> int:
     return j - 1
 
 
-def match_visits(dwells: Sequence[DwellSegment], cps: Sequence[Checkpoint],
+def match_visits(track: BaseCenterTrack, runs: np.ndarray, cps: Sequence[Checkpoint],
                  ctx: GeoContext, gate_radius: float = DEFAULT_GATE_RADIUS,
                  sequence_id: str = "", generator_method: str = "") -> VisitTable:
-    """Associate each dwell with its nearest checkpoint within the gate.
+    """Associate each dwell of ``track``, an inclusive ``(first, last)`` index
+    run from ``detect_dwells``, with the checkpoint nearest its median
+    position within the gate, at ``t_rep = (t[first] + t[last]) / 2``.
 
     Ties break on smaller distance first, then lexicographic checkpoint id.
     """
@@ -255,26 +240,27 @@ def match_visits(dwells: Sequence[DwellSegment], cps: Sequence[Checkpoint],
     if gate_radius <= 0:
         raise ValueError("gate_radius must be positive")
 
+    runs = np.asarray(runs, dtype=np.intp).reshape(-1, 2)
+    t_span = track.t[runs]
+    t_rep = 0.5 * (t_span[:, 0] + t_span[:, 1])
+    p_rep = np.array([np.median(track.p[i:last + 1], axis=0) for i, last in runs.tolist()],
+                     dtype=float).reshape(len(runs), 3)
     ordered = sorted(cps, key=lambda c: c.id)
     ref = _utm_rows([cp.coord for cp in ordered])
-    coords = ctx.enu_to_utm_coords(
-        np.array([seg.p_rep for seg in dwells], dtype=float).reshape(len(dwells), 3))
+    coords = ctx.enu_to_utm_coords(p_rep)
     est = _utm_rows(coords)
-    nearest = np.empty(len(dwells), dtype=np.intp)
-    best = np.empty(len(dwells))
-    for lo in range(0, len(dwells), _MATCH_CHUNK):
+    nearest = np.empty(len(runs), dtype=np.intp)
+    best = np.empty(len(runs))
+    for lo in range(0, len(runs), _MATCH_CHUNK):
         dist = _norms(est[lo:lo + _MATCH_CHUNK, None, :] - ref)
         # argmin takes the first of equal distances: the smaller id.
         nearest[lo:lo + _MATCH_CHUNK] = dist.argmin(axis=1)
         best[lo:lo + _MATCH_CHUNK] = dist.min(axis=1)
 
-    visits: list[CheckpointVisit] = []
-    unmatched: list[DwellSegment] = []
-    for seg, coord, k, dist in zip(dwells, coords, nearest.tolist(), best.tolist()):
-        if dist <= gate_radius:
-            visits.append(CheckpointVisit(ordered[k].id, seg.t_mid, coord, dist))
-        else:
-            unmatched.append(seg)
+    inside = best <= gate_radius
+    visits = [CheckpointVisit(ordered[nearest[r]].id, float(t_rep[r]), coords[r],
+                              float(best[r])) for r in np.flatnonzero(inside).tolist()]
+    unmatched = np.column_stack([t_span, p_rep])[~inside]
     visited = {v.checkpoint_id for v in visits}
     unvisited = sorted(cp.id for cp in cps if cp.id not in visited)
     return VisitTable(sequence_id, generator_method, visits, unmatched, unvisited)
@@ -368,8 +354,8 @@ def export_visit_table(table: VisitTable) -> str:
             for v in table.visits
         ],
         "unmatched_segments": [
-            {"t_start": s.t_start, "t_end": s.t_end, "p_rep": list(s.p_rep)}
-            for s in table.unmatched_segments
+            {"t_start": t_start, "t_end": t_end, "p_rep": p_rep}
+            for t_start, t_end, *p_rep in table.unmatched_segments.tolist()
         ],
         "unvisited_checkpoints": list(table.unvisited_checkpoints),
         "params": table.params,
@@ -385,17 +371,18 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def import_visit_table(source: Union[str, Path, bytes, IO]) -> VisitTable:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8", errors="replace")
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8", errors="replace")
+def _segment_row(seg: dict) -> list[float]:
+    """``t_start, t_end, e, n, u`` of one exported unmatched segment."""
+    if not isinstance(seg["p_rep"], list) or len(seg["p_rep"]) != 3:
+        raise SchemaMismatch(f"unmatched segment p_rep is not 3 numbers: {seg['p_rep']!r}")
+    return [float(seg["t_start"]), float(seg["t_end"]), *map(float, seg["p_rep"])]
+
+
+def import_visit_table(source: Source) -> VisitTable:
+    """Parse an exported table from a path, bytes or a file object, decoded as
+    the CSV readers decode; a malformed document raises SchemaMismatch."""
     try:
-        doc = json.loads(text, parse_float=_finite_float,
+        doc = json.loads(_decode(_read_source(source)), parse_float=_finite_float,
                          parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise SchemaMismatch(f"visit table is not valid JSON: {exc}") from None
@@ -411,11 +398,8 @@ def import_visit_table(source: Union[str, Path, bytes, IO]) -> VisitTable:
                 float(v["distance_to_cp"]))
             for v in doc["visits"]
         ]
-        unmatched = [
-            DwellSegment(float(s["t_start"]), float(s["t_end"]),
-                         tuple(float(c) for c in s["p_rep"]))
-            for s in doc["unmatched_segments"]
-        ]
+        unmatched = np.array([_segment_row(s) for s in doc["unmatched_segments"]],
+                             dtype=float).reshape(-1, 5)
         unvisited = [str(c) for c in doc["unvisited_checkpoints"]]
         params = dict(doc["params"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -120,8 +120,8 @@ def detect_visit_table(config: RunConfig, track: BaseCenterTrack,
     """Visit table from the dwells of ``track``, the base-center track of
     ``config.table_label``, matched to the checkpoints."""
     th = config.thresholds
-    dwells = detect_dwells(track, th.stationary_radius, th.min_dwell)
-    table = match_visits(dwells, cps, ctx, th.gate_radius,
+    runs = detect_dwells(track, th.stationary_radius, th.min_dwell)
+    table = match_visits(track, runs, cps, ctx, th.gate_radius,
                          sequence_id=config.sequence_id,
                          generator_method=config.table_label)
     table.params = {"stationary_radius": th.stationary_radius,

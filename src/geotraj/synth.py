@@ -273,7 +273,8 @@ def _sample_positions(segments, total: float, dt: float) -> tuple[np.ndarray, np
     for t0, t1, p0, p1 in segments:
         lo = int(np.searchsorted(t, t0 - 1e-12, side="left"))
         hi = int(np.searchsorted(t, t1 + 1e-12, side="right"))
-        if hi <= lo:
+        # A zero-length segment's instant is covered by the segment ending there.
+        if hi <= lo or t1 <= t0:
             continue
         w = (t[lo:hi] - t0) / (t1 - t0)
         p[lo:hi] = p0 + np.clip(w, 0.0, 1.0)[:, None] * (p1 - p0)

@@ -17,7 +17,7 @@ package under test:
   eigenvector of a symmetric 4x4 (the package takes Umeyama's SVD route).
 * Dwell detection: the original greedy scan that recomputes ``np.median``
   for every grown window, with no bounds or prefilter; the package's
-  ``detect_dwells`` must return exactly the same segments.
+  ``detect_dwells`` must return exactly the same sample-index runs.
 * TUM writing: the original writer, one ``repr`` per field and pose; the
   package's ``write_trajectory`` must produce the same text.
 * Synthetic receiver track and drift: the original per-sample loops over
@@ -47,7 +47,7 @@ from geotraj import trajectory_io
 from geotraj.errors import (MalformedLine, NoCheckpoints, NonMonotonicTimestamp,
                             UnknownCheckpoint, UnknownStatus)
 from geotraj.geodesy import GeoContext, GeodeticCoord, UtmCoord, utm_to_geodetic
-from geotraj.matching import CheckpointVisit, DwellSegment, VisitTable
+from geotraj.matching import CheckpointVisit, VisitTable
 from geotraj.metrics import AccuracySummary, aligned_rmse, alignment_gap
 # Reference rigid alignment, the synthetic oracle's own: (R, t) of est onto ref.
 from geotraj.synth import _horn_align as horn_alignment
@@ -136,13 +136,14 @@ def chi3_mean(sigma):
 
 
 def detect_dwells_reference(track, stationary_radius=0.05, min_dwell=5.0):
-    """Greedy maximal-window scan; O(n * w^2) with w the dwell sample count."""
+    """Greedy maximal-window scan; O(n * w^2) with w the dwell sample count.
+    Returns the (K, 2) inclusive ``(first, last)`` index runs."""
     if stationary_radius <= 0 or min_dwell <= 0:
         raise ValueError("stationary_radius and min_dwell must be positive")
     t = track.t
     p = track.p
     n = len(t)
-    segments: list[DwellSegment] = []
+    runs = []
     i = 0
     while i < n - 1:
         j = i + 1
@@ -155,13 +156,11 @@ def detect_dwells_reference(track, stationary_radius=0.05, min_dwell=5.0):
             j += 1
         last = j - 1
         if last > i and t[last] - t[i] >= min_dwell:
-            med = np.median(p[i:last + 1], axis=0)
-            segments.append(DwellSegment(float(t[i]), float(t[last]),
-                                         (float(med[0]), float(med[1]), float(med[2]))))
+            runs.append((i, last))
             i = last + 1
         else:
             i += 1
-    return segments
+    return np.array(runs, dtype=np.intp).reshape(-1, 2)
 
 
 def write_trajectory_reference(traj):
@@ -213,15 +212,17 @@ def random_walk_reference(t, drift_rate, reset_tau_s, outage_windows, rng):
     return rw, var
 
 
-def match_visits_reference(dwells, cps, ctx, gate_radius=1.0, sequence_id="",
+def match_visits_reference(track, runs, cps, ctx, gate_radius=1.0, sequence_id="",
                            generator_method=""):
-    """Each dwell against every checkpoint, re-sorted by id per dwell; the
-    first strictly smaller distance wins."""
+    """Each run's median against every checkpoint, re-sorted by id per run;
+    the first strictly smaller distance wins."""
     if not cps:
         raise NoCheckpoints("cannot match visits without checkpoints")
     visits, unmatched, visited = [], [], set()
-    for seg in dwells:
-        p_utm = ctx.enu_to_utm(seg.p_rep)
+    for first, last in runs:
+        t_start, t_end = float(track.t[first]), float(track.t[last])
+        p_rep = [float(c) for c in np.median(track.p[first:last + 1], axis=0)]
+        p_utm = ctx.enu_to_utm(p_rep)
         est = np.array([p_utm.easting, p_utm.northing, p_utm.height])
         best = None
         for cp in sorted(cps, key=lambda c: c.id):
@@ -230,12 +231,13 @@ def match_visits_reference(dwells, cps, ctx, gate_radius=1.0, sequence_id="",
             if best is None or dist < best[0]:
                 best = (dist, cp.id)
         if best[0] <= gate_radius:
-            visits.append(CheckpointVisit(best[1], seg.t_mid, p_utm, best[0]))
+            visits.append(CheckpointVisit(best[1], 0.5 * (t_start + t_end), p_utm, best[0]))
             visited.add(best[1])
         else:
-            unmatched.append(seg)
+            unmatched.append([t_start, t_end, *p_rep])
     unvisited = sorted(cp.id for cp in cps if cp.id not in visited)
-    return VisitTable(sequence_id, generator_method, visits, unmatched, unvisited)
+    return VisitTable(sequence_id, generator_method, visits,
+                      np.array(unmatched, dtype=float).reshape(-1, 5), unvisited)
 
 
 class LookupGap(Exception):

@@ -172,8 +172,9 @@ def test_criterion_5_drift_recovery():
             noise_sigma=0.02,
         )
         sc = generate(spec)
-        dws = detect_dwells(apply_lever_arm(sc.truth, np.zeros(3)), 0.05, 5.0)
-        table = match_visits(dws, sc.checkpoints, sc.context, 1.0)
+        truth = apply_lever_arm(sc.truth, np.zeros(3))
+        runs = detect_dwells(truth, 0.05, 5.0)
+        table = match_visits(truth, runs, sc.checkpoints, sc.context, 1.0)
         est_track = apply_lever_arm(sc.estimate, np.zeros(3))
         visits = visits_from_table(table, est_track, sc.checkpoints, sc.context)
         dt, _ = outage_coordinates(est_track, sc.rtk, visits.t_rep)
@@ -218,12 +219,13 @@ def test_criterion_6_matching_determinism():
         noise_sigma=0.005,
     )
     sc = generate(spec)
-    dws = detect_dwells(apply_lever_arm(sc.truth, np.zeros(3)), 0.05, 5.0)
-    assert len(dws) == 20, len(dws)
-    table = match_visits(dws, sc.checkpoints, sc.context, 1.0,
+    truth = apply_lever_arm(sc.truth, np.zeros(3))
+    runs = detect_dwells(truth, 0.05, 5.0)
+    assert len(runs) == 20, len(runs)
+    table = match_visits(truth, runs, sc.checkpoints, sc.context, 1.0,
                          sequence_id="acceptance", generator_method="truth")
     assert len(table.visits) == 20
-    assert not table.unmatched_segments and not table.unvisited_checkpoints
+    assert len(table.unmatched_segments) == 0 and not table.unvisited_checkpoints
     text = export_visit_table(table)
     reimported = import_visit_table(text.encode())
     assert export_visit_table(reimported) == text

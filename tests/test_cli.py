@@ -279,6 +279,31 @@ def test_exit_code_schema_mismatch(bias_bundle, tmp_path, capsys):
     assert "SchemaMismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, code, error", [
+    ("config", 2, "ConfigError"), ("spec", 9, "InvalidSpec"),
+    ("table", 7, "SchemaMismatch")])
+def test_json_input_that_is_not_utf8_is_a_structured_error(bias_bundle, tmp_path,
+                                                           capsys, target, code, error):
+    config, table = bias_bundle / "run.json", tmp_path / "table.json"
+    assert main(["match", "--config", str(config), "--out", str(table)]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_bias_spec().to_dict()), encoding="utf-8")
+    if target == "config":
+        config = tmp_path / "run.json"
+        config.write_bytes((bias_bundle / "run.json").read_bytes())
+    bad = {"config": config, "spec": spec, "table": table}[target]
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    capsys.readouterr()
+    if target == "spec":
+        argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["evaluate", "--config", str(config), "--visit-table", str(table),
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {error}:"), err
+
+
 def test_exit_code_degenerate_alignment(tmp_path, capsys):
     # Checkpoints surveyed along one straight line: the aligned metric is
     # underdetermined and the run fails with the documented code.

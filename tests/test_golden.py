@@ -1,10 +1,13 @@
 """Golden bytes of the ``evaluate`` bundle, and method-order invariance.
 
-Every file ``evaluate`` writes is pinned by its sha256 for two small pinned
+Every file ``evaluate`` writes is pinned by its sha256 for three small pinned
 synthetic bundles:
 
 * ``demo``: the ``scripts/run_demo.py`` scenario at seed 11, with a revisit
   and an outage over three dwells; the visit table is detected.
+* ``unmatched``: ``demo`` with CP03 left out of ``checkpoints.csv``, so the
+  dwell at CP03 stays unmatched and the table lists it under
+  ``unmatched_segments``.
 * ``replay``: two estimates of one schedule plus the receiver itself, read
   at whole-second instants through an imported visit table. One visit lies
   past the end of the tracks, so every method skips it, and the receiver
@@ -47,6 +50,22 @@ GOLDEN = {
             "b379e6d50f8703a41e6b6680016a8bb34b7d5040a413b3ebf915b10a4ff79f2a",
         "visit_table.json":
             "07c866e810a06582824f747b14d9bb7231d81992ef80618d617db6abba0ad82d",
+    },
+    "unmatched": {
+        "checkpoint_errors.svg":
+            "efec90baad30fb26487d765586e98b9b9ef0b9040aa3dd95271486dc22d9f8fb",
+        "drift_samples.csv":
+            "18af97849ac7b6bf16ebc9d5f702e5743f665b5d9fc5ceac6420caf82b6bbcbe",
+        "drift_time.svg":
+            "1e6f58ef8229f43b2779c39d8873f630471caa0990020b33fbfa061ea29c128f",
+        "errors.csv":
+            "b91cd76c0b3c386d1c1f3e716ac2a0e34a681f349d880b9c5f504770b758bb30",
+        "report.json":
+            "f573d50564cd44e76b0e93e12c2e5fe640378da9c686a24b5ab0494a167fa242",
+        "trajectory_overlay.svg":
+            "777099bdd686e9126dbb9dac293df4b6860cbf2d29a93e0ae96e1e2d6a837176",
+        "visit_table.json":
+            "53b5de922b215b3826ba6fba8c7794644cec16b468da3fbb964c7b29174fb84e",
     },
     "replay": {
         "checkpoint_errors.svg":
@@ -103,6 +122,14 @@ def _demo_bundle(root: Path) -> Path:
     return root
 
 
+def _unmatched_bundle(root: Path) -> Path:
+    _demo_bundle(root)
+    path = root / "checkpoints.csv"
+    rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(r for r in rows if not r.startswith("CP03,")))
+    return root
+
+
 def _two_method_bundle(root: Path):
     """Two estimates of one schedule; the receiver log is the first's."""
     first = generate(_zigzag_spec(21, 0.0))
@@ -133,6 +160,7 @@ def _digests(outdir: Path) -> dict:
 
 
 @pytest.mark.parametrize("name, build", [("demo", _demo_bundle),
+                                         ("unmatched", _unmatched_bundle),
                                          ("replay", _replay_bundle)])
 def test_evaluate_writes_golden_bytes(tmp_path, name, build):
     bundle = build(tmp_path / "bundle")

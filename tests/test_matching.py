@@ -1,5 +1,7 @@
 """Dwell detection, checkpoint association, and visit-table round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,6 @@ from geotraj.geodesy import GeoContext, GeodeticCoord, UtmCoord, utm_to_geodetic
 from geotraj.lever_arm import BaseCenterTrack, apply_lever_arm
 from geotraj.matching import (
     CheckpointVisit,
-    DwellSegment,
     VisitTable,
     detect_dwells,
     export_visit_table,
@@ -47,13 +48,20 @@ def _walk_then_dwell(dwell_pos, dwell_len, rate=1.0):
     return _track(ts, ps)
 
 
+def _no_runs():
+    return np.empty((0, 2), dtype=np.intp)
+
+
 def test_detects_single_dwell_with_median_representative():
+    ctx = _ctx()
     track = _walk_then_dwell([1.0, 2.0, 0.5], dwell_len=8)
-    segs = detect_dwells(track)
-    assert len(segs) == 1
-    assert segs[0].p_rep == (1.0, 2.0, 0.5)
-    assert segs[0].duration >= 7.0
-    assert segs[0].t_mid == 0.5 * (segs[0].t_start + segs[0].t_end)
+    runs = detect_dwells(track)
+    assert runs.dtype == np.intp and runs.shape == (1, 2)
+    first, last = runs[0]
+    assert track.t[last] - track.t[first] >= 7.0
+    table = match_visits(track, runs, [_cp_at_enu(ctx, "CP1", 1.0, 2.0, 0.5)], ctx)
+    assert table.visits[0].p_est == ctx.enu_to_utm((1.0, 2.0, 0.5))
+    assert table.visits[0].t_rep == 0.5 * (track.t[first] + track.t[last])
 
 
 def test_duration_at_threshold_is_inclusive():
@@ -63,7 +71,7 @@ def test_duration_at_threshold_is_inclusive():
     assert len(detect_dwells(track, min_dwell=5.0)) == 1
     ps_short = [[0.0, 0.0, 0.0]] * 5 + [[50.0, 0.0, 0.0]] * 3
     track_short = _track(np.arange(8.0), ps_short)
-    assert detect_dwells(track_short, min_dwell=5.0) == []
+    assert detect_dwells(track_short, min_dwell=5.0).shape == (0, 2)
 
 
 def test_jitter_within_radius_still_dwells():
@@ -72,9 +80,10 @@ def test_jitter_within_radius_still_dwells():
     ps = np.vstack([jitter + [3.0, -1.0, 0.2],
                     [[20.0, 0.0, 0.0], [40.0, 0.0, 0.0]]])
     track = _track(np.arange(float(len(ps))), ps)
-    segs = detect_dwells(track, stationary_radius=0.05, min_dwell=5.0)
-    assert len(segs) == 1
-    assert np.linalg.norm(np.array(segs[0].p_rep) - [3.0, -1.0, 0.2]) < 0.05
+    runs = detect_dwells(track, stationary_radius=0.05, min_dwell=5.0)
+    assert len(runs) == 1
+    first, last = runs[0]
+    assert np.linalg.norm(np.median(ps[first:last + 1], axis=0) - [3.0, -1.0, 0.2]) < 0.05
 
 
 def test_slow_drift_is_not_a_dwell():
@@ -82,17 +91,17 @@ def test_slow_drift_is_not_a_dwell():
     # window median check catches the accumulated motion before min_dwell.
     ps = [[0.03 * k, 0.0, 0.0] for k in range(40)]
     track = _track(np.arange(40.0), ps)
-    assert detect_dwells(track, stationary_radius=0.05, min_dwell=5.0) == []
+    assert detect_dwells(track, stationary_radius=0.05, min_dwell=5.0).shape == (0, 2)
 
 
 def test_two_separate_dwells():
     ps = ([[0.0, 0.0, 0.0]] * 8 + [[30.0 + 3.0 * k, 0.0, 0.0] for k in range(4)]
           + [[90.0, 5.0, 1.0]] * 8)
     track = _track(np.arange(float(len(ps))), ps)
-    segs = detect_dwells(track)
-    assert len(segs) == 2
-    assert segs[0].p_rep[0] == 0.0
-    assert segs[1].p_rep == (90.0, 5.0, 1.0)
+    runs = detect_dwells(track)
+    assert runs.tolist() == [[0, 7], [12, 19]]
+    assert [np.median(track.p[a:b + 1], axis=0).tolist() for a, b in runs] == [
+        [0.0, 0.0, 0.0], [90.0, 5.0, 1.0]]
 
 
 def test_detect_dwells_rejects_bad_params():
@@ -104,8 +113,8 @@ def test_detect_dwells_rejects_bad_params():
 
 
 def test_detect_dwells_short_tracks_have_no_dwells():
-    assert detect_dwells(_track(np.empty(0), np.empty((0, 3)))) == []
-    assert detect_dwells(_track([0.0], [[1.0, 2.0, 3.0]])) == []
+    assert detect_dwells(_track(np.empty(0), np.empty((0, 3)))).shape == (0, 2)
+    assert detect_dwells(_track([0.0], [[1.0, 2.0, 3.0]])).shape == (0, 2)
 
 
 @pytest.mark.parametrize("ts", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
@@ -170,17 +179,17 @@ def test_detect_dwells_matches_reference(seed, n_parts, radius, grid, clock,
     else:
         t = np.cumsum(rng.uniform(0.02, 0.2, size=n))
     track = _track(t, p)
-    assert (detect_dwells(track, radius, min_dwell)
-            == detect_dwells_reference(track, radius, min_dwell))
+    assert np.array_equal(detect_dwells(track, radius, min_dwell),
+                          detect_dwells_reference(track, radius, min_dwell))
 
 
 def test_dwell_whose_box_is_exactly_2r_wide_is_kept():
     # The median 0 sits exactly r from both extremes, so every window passes.
     ps = [[-0.25, 0.0, 0.0], [0.25, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 8 + [[9.0, 0.0, 0.0]]
     track = _track(np.arange(11.0), ps)
-    segs = detect_dwells(track, stationary_radius=0.25, min_dwell=5.0)
-    assert [(s.t_start, s.t_end) for s in segs] == [(0.0, 9.0)]
-    assert segs == detect_dwells_reference(track, 0.25, 5.0)
+    runs = detect_dwells(track, stationary_radius=0.25, min_dwell=5.0)
+    assert track.t[runs].tolist() == [[0.0, 9.0]]
+    assert np.array_equal(runs, detect_dwells_reference(track, 0.25, 5.0))
 
 
 def test_dwell_across_a_time_gap():
@@ -194,9 +203,9 @@ def test_dwell_across_a_time_gap():
     p[:3000, 0] = -450.0 + 1.5 * walk
     p[3007:, 1] = 0.15 * np.arange(1, 59)
     track = _track(t, p)
-    segs = detect_dwells(track, 0.05, 2.0)
-    assert [(s.t_start, s.t_end) for s in segs] == [(300.0, 400.1)]
-    assert segs == detect_dwells_reference(track, 0.05, 2.0)
+    runs = detect_dwells(track, 0.05, 2.0)
+    assert track.t[runs].tolist() == [[300.0, 400.1]]
+    assert np.array_equal(runs, detect_dwells_reference(track, 0.05, 2.0))
 
 
 def test_detect_dwells_matches_reference_on_drift_fragments():
@@ -212,7 +221,7 @@ def test_detect_dwells_matches_reference_on_drift_fragments():
         sample_rate_hz=100.0)
     track = apply_lever_arm(generate(spec).estimate, np.zeros(3))
     got = detect_dwells(track, 0.05, 1.0)
-    assert got == detect_dwells_reference(track, 0.05, 1.0)
+    assert np.array_equal(got, detect_dwells_reference(track, 0.05, 1.0))
     assert len(got) > 3
 
 
@@ -221,44 +230,53 @@ def _cp_at_enu(ctx, cp_id, e, n, u) -> Checkpoint:
     return Checkpoint(cp_id, p)
 
 
+def _dwell_track(starts, p_rep, length=6.0):
+    """One 1 Hz run of ``length`` seconds per dwell, held at its ``p_rep`` so
+    that the run's median is exactly ``p_rep``: the track and its runs."""
+    n = int(length) + 1
+    t = (np.asarray(starts, dtype=float)[:, None] + np.arange(n)).ravel()
+    p = np.repeat(np.asarray(p_rep, dtype=float).reshape(-1, 3), n, axis=0)
+    first = n * np.arange(len(starts))
+    return _track(t, p), np.column_stack([first, first + n - 1])
+
+
 def test_match_within_gate_and_unmatched_beyond():
     ctx = _ctx()
-    dwells = [DwellSegment(0.0, 8.0, (0.0, 0.0, 0.0)),
-              DwellSegment(20.0, 28.0, (50.0, 0.0, 0.0))]
+    track, runs = _dwell_track([0.0, 20.0], [[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]], 8.0)
     cps = [_cp_at_enu(ctx, "NEAR", 0.1, 0.0, 0.0),
            _cp_at_enu(ctx, "FAR", 50.0, 30.0, 0.0)]
-    table = match_visits(dwells, cps, ctx, gate_radius=1.0,
+    table = match_visits(track, runs, cps, ctx, gate_radius=1.0,
                          sequence_id="seq", generator_method="truth")
     assert [v.checkpoint_id for v in table.visits] == ["NEAR"]
     assert table.visits[0].t_rep == 4.0
     assert table.visits[0].distance_to_cp == pytest.approx(0.1, abs=1e-3)
-    assert [s.t_start for s in table.unmatched_segments] == [20.0]
+    assert table.unmatched_segments.tolist() == [[20.0, 28.0, 50.0, 0.0, 0.0]]
     assert table.unvisited_checkpoints == ["FAR"]
     assert table.sequence_id == "seq"
 
 
 def test_match_prefers_smaller_distance():
     ctx = _ctx()
-    dwells = [DwellSegment(0.0, 8.0, (0.0, 0.0, 0.0))]
+    track, runs = _dwell_track([0.0], [[0.0, 0.0, 0.0]], 8.0)
     cps = [_cp_at_enu(ctx, "A", 0.6, 0.0, 0.0),
            _cp_at_enu(ctx, "B", 0.2, 0.0, 0.0)]
-    table = match_visits(dwells, cps, ctx)
+    table = match_visits(track, runs, cps, ctx)
     assert [v.checkpoint_id for v in table.visits] == ["B"]
 
 
 def test_match_tie_breaks_on_lexicographic_id():
     ctx = _ctx()
-    dwells = [DwellSegment(0.0, 8.0, (0.0, 0.0, 0.0))]
+    track, runs = _dwell_track([0.0], [[0.0, 0.0, 0.0]], 8.0)
     coord = ctx.enu_to_utm((0.25, 0.0, 0.0))
     cps = [Checkpoint("CP9", coord), Checkpoint("CP10", coord)]
-    table = match_visits(dwells, cps, ctx)
+    table = match_visits(track, runs, cps, ctx)
     assert [v.checkpoint_id for v in table.visits] == ["CP10"]
 
 
 def test_match_requires_checkpoints():
     ctx = _ctx()
     with pytest.raises(NoCheckpoints):
-        match_visits([], [], ctx)
+        match_visits(_track([0.0], [[0.0, 0.0, 0.0]]), _no_runs(), [], ctx)
 
 
 def test_lookup_picks_nearest_sample_or_skips():
@@ -341,13 +359,13 @@ def test_match_visits_matches_reference(seed, n_dwells, n_cps, copies, gate):
     p_rep = np.where(rng.random((n_dwells, 1)) < 0.7,
                      near + rng.normal(0.0, 0.5 * gate, size=(n_dwells, 3)),
                      rng.uniform(-40.0, 40.0, size=(n_dwells, 3)))
-    starts = np.cumsum(rng.uniform(1.0, 20.0, size=n_dwells))
-    dwells = [DwellSegment(float(a), float(a + 6.0), tuple(map(float, p)))
-              for a, p in zip(starts, p_rep)]
-    got = match_visits(dwells, cps, ctx, gate, "seq", "slam")
-    want = match_visits_reference(dwells, cps, ctx, gate, "seq", "slam")
+    # Gaps of 1-20 s between dwells of 6 s.
+    starts = np.cumsum(rng.uniform(7.0, 26.0, size=n_dwells))
+    track, runs = _dwell_track(starts, p_rep)
+    got = match_visits(track, runs, cps, ctx, gate, "seq", "slam")
+    want = match_visits_reference(track, runs, cps, ctx, gate, "seq", "slam")
     assert got.visits == want.visits
-    assert got.unmatched_segments == want.unmatched_segments
+    assert np.array_equal(got.unmatched_segments, want.unmatched_segments)
     assert got.unvisited_checkpoints == want.unvisited_checkpoints
     assert (got.sequence_id, got.generator_method) == ("seq", "slam")
 
@@ -358,14 +376,13 @@ def test_match_visits_chunks_many_dwells():
     rng = np.random.default_rng(3)
     grid = np.array([[5.0 * (k % 7), 5.0 * (k // 7), 0.0] for k in range(30)])
     p_rep = grid[rng.integers(0, 30, size=600)] + rng.uniform(-2.0, 2.0, size=(600, 3))
-    dwells = [DwellSegment(10.0 * k, 10.0 * k + 6.0, tuple(p.tolist()))
-              for k, p in enumerate(p_rep)]
+    track, runs = _dwell_track(10.0 * np.arange(600), p_rep)
     cps = [_cp_at_enu(ctx, f"CP{k}", *p) for k, p in enumerate(grid)]
-    got = match_visits(dwells, cps, ctx, 2.0)
-    want = match_visits_reference(dwells, cps, ctx, 2.0)
+    got = match_visits(track, runs, cps, ctx, 2.0)
+    want = match_visits_reference(track, runs, cps, ctx, 2.0)
     assert len(got.visits) > 256
     assert got.visits == want.visits
-    assert got.unmatched_segments == want.unmatched_segments
+    assert np.array_equal(got.unmatched_segments, want.unmatched_segments)
 
 
 def _clock(kind, n, rng):
@@ -466,7 +483,7 @@ def test_lookup_tie_and_bound_cases():
         visits_from_table(table, track, cps, ctx)
     _assert_columns_equal(visits_from_table(VisitTable("seq", "slam", []), track, cps, ctx),
                           [], [], cps)
-    assert match_visits([], cps, ctx).visits == []
+    assert match_visits(track, _no_runs(), cps, ctx).visits == []
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -483,7 +500,7 @@ def _sample_table(ctx) -> VisitTable:
     return VisitTable(
         "2024-05-14-run3", "slam",
         [CheckpointVisit("CP01", 12.375, coord, 0.0421)],
-        [DwellSegment(40.0, 47.5, (10.0, 20.0, 0.5))],
+        np.array([[40.0, 47.5, 10.0, 20.0, 0.5]]),
         ["CP02"],
         {"gate_radius": 1.0, "min_dwell": 5.0},
     )
@@ -504,7 +521,7 @@ def test_import_restores_every_field():
     assert got.visits[0].checkpoint_id == "CP01"
     assert got.visits[0].t_rep == 12.375
     assert got.visits[0].p_est.easting == table.visits[0].p_est.easting
-    assert got.unmatched_segments[0].p_rep == (10.0, 20.0, 0.5)
+    assert got.unmatched_segments.tolist() == [[40.0, 47.5, 10.0, 20.0, 0.5]]
     assert got.unvisited_checkpoints == ["CP02"]
     assert got.params == table.params
 
@@ -526,6 +543,11 @@ def test_import_rejects_bad_documents():
     doc = export_visit_table(table).replace('"t_rep"', '"when"')
     with pytest.raises(SchemaMismatch):
         import_visit_table(doc.encode())
+    for p_rep in ([], [10.0], [10.0, 20.0], [10.0, 20.0, 0.5, 1.0], 10.0):
+        doc = json.loads(export_visit_table(table))
+        doc["unmatched_segments"][0]["p_rep"] = p_rep
+        with pytest.raises(SchemaMismatch, match="p_rep"):
+            import_visit_table(json.dumps(doc).encode())
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

@@ -280,6 +280,15 @@ def test_positions_at_matches_per_time_loop(seed, n_seg):
     assert got.tobytes() == want.tobytes()
 
 
+def test_sample_positions_skip_a_trailing_zero_length_segment():
+    p0, p1 = np.zeros(3), np.array([3.0, -4.0, 1.0])
+    t, p = synth._sample_positions([(0.0, 10.0, p0, p1), (10.0, 10.0, p1, p1)],
+                                   10.0, 0.1)
+    assert t[-1] == 10.0
+    assert np.isfinite(p).all()
+    assert p[-1].tolist() == p1.tolist()
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
        n_visits=st.integers(0, 30), clock=st.sampled_from([0.0, 1.7e9]),
        rate=st.sampled_from([10.0, 100.0, 3.0]))
@@ -365,8 +374,8 @@ def test_pipeline_matches_generator_oracle_bias_only():
     """Dual route: dwell detection + matching + metrics vs the oracle."""
     sc = generate(_line_spec(global_bias=np.array([0.4, -0.3, 0.2])))
     truth_track = apply_lever_arm(sc.truth, np.zeros(3))
-    dwells = detect_dwells(truth_track, 0.05, 5.0)
-    table = match_visits(dwells, sc.checkpoints, sc.context, gate_radius=2.0,
+    runs = detect_dwells(truth_track, 0.05, 5.0)
+    table = match_visits(truth_track, runs, sc.checkpoints, sc.context, gate_radius=2.0,
                          sequence_id="t", generator_method="truth")
     est_track = apply_lever_arm(sc.estimate, np.zeros(3))
     visits = visits_from_table(table, est_track, sc.checkpoints, sc.context)
